@@ -142,27 +142,20 @@ def scaling_term(t: int, size_max: int, mu: float) -> float:
     return 1.0 if alpha <= mu else 2.0 * alpha
 
 
-def _weighted_size(node: Node, leaf_complexity: float) -> float:
+def _collect(node: Node, model: CostModel, out: list[NodeContribution]) -> float:
+    """Append the contributions of `node`'s subtree in post-order and return
+    its weighted size (leaves weigh leaf_complexity, internal nodes 1)."""
     if node.op is None:
-        return leaf_complexity
-    return 1.0 + sum(_weighted_size(c, leaf_complexity) for c in node.children)
-
-
-def _collect(node: Node, model: CostModel, out: list[NodeContribution]) -> None:
-    if node.op is None:
-        return
-    for child in node.children:
-        _collect(child, model, out)
+        return model.leaf_complexity
+    sizes = [_collect(child, model, out) for child in node.children]
     cost_class = model.operator_costs.get(node.op)
     if cost_class is None:
         raise ValueError(f"operator {node.op!r} has no cost class in the cost model")
-    left = node.children[0]
-    L = _weighted_size(left, model.leaf_complexity)
-    size_left = left.size
+    L = sizes[0]
+    size_left = node.children[0].size
     if len(node.children) == 2:
-        right = node.children[1]
-        R = _weighted_size(right, model.leaf_complexity)
-        size_right = right.size
+        R = sizes[1]
+        size_right = node.children[1].size
     else:
         R = 0.0
         size_right = 0
@@ -173,6 +166,7 @@ def _collect(node: Node, model: CostModel, out: list[NodeContribution]) -> None:
     else:
         value = 2.0 ** min(L + R, EXP_CAP_BITS)
     out.append(NodeContribution(node.op, value, asymmetry_penalty(size_left, size_right)))
+    return 1.0 + sum(sizes)
 
 
 def tree_complexity(tree: Node, model: CostModel = DEFAULT_COST_MODEL) -> TreeComplexity:

@@ -3,7 +3,9 @@
 Columns are min-max scaled to [0, 1] (constant columns become all zeros)
 and each point's ordering of every other point by ascending input-space
 distance is computed once up front; the embedding-quality objective only
-ever reads these orderings.
+ever reads these orderings.  All squared distances, here and in the
+objective and the KNN harness, come from `sq_distances`, which sums squared
+coordinate differences in column order, as the test oracles do.
 """
 from __future__ import annotations
 
@@ -48,12 +50,57 @@ def normalize(matrix: np.ndarray) -> np.ndarray:
     return out
 
 
+ROW_BLOCK = 256  # rows of the n x n distance matrix held at once by neighbour_order
+
+
+def sq_distances(points: np.ndarray, others: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``d[i, j]``: squared Euclidean distance from ``points[i]`` to ``others[index[i, j]]``.
+
+    `index` broadcasts against ``(len(points), 1)``.  Squared coordinate
+    differences are added one column at a time, in column order, the same
+    left-to-right sum the test oracles make, so distances that are equal in
+    exact arithmetic tie whatever SIMD path numpy takes.  Only the gathered
+    pairs are held, never an n x n x d difference array.
+    """
+    P = np.asarray(points, dtype=np.float64)
+    O = np.asarray(others, dtype=np.float64)
+    shape = np.broadcast_shapes((P.shape[0], 1), np.shape(index))
+    acc = np.zeros(shape)
+    d = np.empty(shape)
+    for c in range(P.shape[1]):
+        np.subtract(P[:, c, None], O[:, c][index], out=d)
+        d *= d
+        acc += d
+    return acc
+
+
+def nearest_mask(d2: np.ndarray, k: int) -> np.ndarray:
+    """Mask of each row's k smallest entries, lower column first among equals.
+
+    Exact top-k without a full sort: with v the row's k-th smallest value,
+    every entry below v is taken, then the leftmost entries equal to v until
+    there are k.
+    """
+    v = np.partition(d2, k - 1, axis=1)[:, k - 1, None]
+    nearest = d2 < v
+    room = k - np.count_nonzero(nearest, axis=1)
+    rows, cols = np.nonzero(d2 == v)
+    # rows is sorted, so an entry's place among its row's equal entries is
+    # its offset from the first of them
+    place = np.arange(rows.shape[0]) - np.searchsorted(rows, rows)
+    keep = place < room[rows]
+    nearest[rows[keep], cols[keep]] = True
+    return nearest
+
+
 def neighbour_order(instances: np.ndarray, max_neighbours: int | None = None) -> np.ndarray:
     """Row i lists every j != i by ascending Euclidean distance from i.
 
     Equal distances are ordered by ascending index.  Ordering is computed on
-    squared distances, which sorts identically and avoids rounding collisions
-    from the square root.
+    squared distances (summed in column order, see `sq_distances`), which
+    sort identically and avoid rounding collisions from the square root.
+    Rows are ordered ROW_BLOCK at a time, so memory stays O(ROW_BLOCK * n)
+    beyond the (n, k) result.
     """
     X = np.asarray(instances, dtype=np.float64)
     n = X.shape[0]
@@ -61,14 +108,29 @@ def neighbour_order(instances: np.ndarray, max_neighbours: int | None = None) ->
         raise DatasetError(f"need at least 2 instances, got {n}")
     if not np.isfinite(X).all():
         raise DatasetError("instances contain NaN or infinite values")
-    diff = X[:, None, :] - X[None, :, :]
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
-    order = np.argsort(d2, axis=1, kind="stable")
-    # drop the self column wherever the stable sort placed it
-    rows = order[order != np.arange(n)[:, None]].reshape(n, n - 1)
-    if max_neighbours is not None and max_neighbours < n - 1:
-        rows = rows[:, :max_neighbours]
-    return np.ascontiguousarray(rows)
+    if max_neighbours is not None and max_neighbours < 1:
+        raise DatasetError(f"max_neighbours must be >= 1, got {max_neighbours}")
+    k = n - 1 if max_neighbours is None else min(max_neighbours, n - 1)
+    everyone = np.arange(n)
+    out = np.empty((n, k), dtype=np.intp)
+    for lo in range(0, n, ROW_BLOCK):
+        rows = everyone[lo:lo + ROW_BLOCK]
+        d2 = sq_distances(X[rows], X, everyone)
+        if k + 1 < n:
+            # only the k + 1 nearest, self included, can be listed: select
+            # them exactly, then sort just those
+            _, near = np.nonzero(nearest_mask(d2, k + 1))
+            near = near.reshape(rows.shape[0], k + 1)
+            by_distance = np.argsort(np.take_along_axis(d2, near, axis=1), axis=1, kind="stable")
+            order = np.take_along_axis(near, by_distance, axis=1)
+        else:
+            order = np.argsort(d2, axis=1, kind="stable")
+        # drop the self column wherever the stable sort placed it; self is
+        # missing from the k + 1 nearest only behind k + 1 lower-index duplicates
+        drop = order == rows[:, None]
+        drop[~drop.any(axis=1), -1] = True
+        out[rows] = order[~drop].reshape(rows.shape[0], k)
+    return out
 
 
 def from_arrays(

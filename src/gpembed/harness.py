@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexity import CostClass, CostModel, DEFAULT_COST_MODEL, baseline_complexity
-from .dataset import Dataset
+from .dataset import Dataset, nearest_mask, sq_distances
 from .evolution import (
     LABEL_FOLDS,
     EvolutionConfig,
@@ -97,14 +97,12 @@ def knn_cv_accuracy(
     for f in range(folds):
         test = np.flatnonzero(assignment == f)
         train = np.flatnonzero(assignment != f)
-        diff = E[test][:, None, :] - E[train][None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        k_eff = min(k, train.shape[0])
-        order = np.argsort(d2, axis=1, kind="stable")[:, :k_eff]
-        votes = y[train][order]
-        predictions = np.empty(test.shape[0], dtype=np.intp)
-        for row in range(test.shape[0]):
-            predictions[row] = np.bincount(votes[row], minlength=n_classes).argmax()
+        d2 = sq_distances(E[test], E, train)
+        rows, cols = np.nonzero(nearest_mask(d2, min(k, train.shape[0])))
+        votes = np.bincount(rows * n_classes + y[train][cols],
+                            minlength=test.shape[0] * n_classes)
+        # argmax keeps the first, i.e. smallest, class of a tied vote
+        predictions = votes.reshape(-1, n_classes).argmax(axis=1)
         accuracies.append(float(np.mean(predictions == y[test])))
     return float(np.mean(accuracies)), float(np.std(accuracies))
 

@@ -6,12 +6,16 @@ correlation between that rank vector and the identity ranking measures how
 well the point's neighbourhood survived the mapping; the objective is the
 mean of ``(1 - rho) / 2`` over all points, so 0 means every ordering is
 preserved and 1 means every ordering is reversed.
+
+Embedding distances are squared Euclidean distances summed in column order
+(`dataset.sq_distances`), so equal distances tie exactly as in a plain
+left-to-right sum, and tied distances share their average rank.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, sq_distances
 from .expr import Individual, eval_individual
 
 
@@ -69,21 +73,39 @@ def _row_correlations(ranks: np.ndarray, ident: np.ndarray) -> np.ndarray:
     return rho
 
 
+def _row_ranks(values: np.ndarray) -> np.ndarray:
+    """`fractional_ranks` of a 2-D array, with its stable sort only where needed.
+
+    A row without tied values gets the inverse of its sort permutation as
+    exact integer ranks, so the (faster, unstable) default sort is enough;
+    only rows holding a tie go through `fractional_ranks`.
+    """
+    n, width = values.shape
+    order = np.argsort(values, axis=1)
+    sorted_vals = np.sort(values, axis=1)  # cheaper than gathering by `order`
+    tied = (sorted_vals[:, 1:] == sorted_vals[:, :-1]).any(axis=1)
+    ranks = np.empty((n, width))
+    ranks[np.arange(n)[:, None], order] = np.arange(1.0, width + 1.0)
+    if tied.any():
+        ranks[tied] = fractional_ranks(values[tied])
+    return ranks
+
+
 def embedding_cost(embedding: np.ndarray, neighbour_order: np.ndarray) -> float:
-    """Mean (1 - spearman)/2 between input-order and embedding-order neighbours."""
+    """Mean (1 - spearman)/2 between input-order and embedding-order neighbours.
+
+    Only the ranked pairs (i, neighbour_order[i, j]) get a distance, squared
+    and summed in column order as `dataset.sq_distances` documents.
+    """
     E = np.asarray(embedding, dtype=np.float64)
     n = E.shape[0]
-    # squared distances rank identically to distances and skip the sqrt
-    diff = E[:, None, :] - E[None, :, :]
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
-    selected = d2[np.arange(n)[:, None], neighbour_order]
-    ranks = fractional_ranks(selected)
     width = neighbour_order.shape[1]
-    ident = np.arange(1.0, width + 1.0)
     if width < 2:
         rho = np.zeros(n)  # a single neighbour carries no ordering information
     else:
-        rho = _row_correlations(ranks, ident)
+        # squared distances rank identically to distances and skip the sqrt
+        ranks = _row_ranks(sq_distances(E, E, neighbour_order))
+        rho = _row_correlations(ranks, np.arange(1.0, width + 1.0))
     return float(np.mean((1.0 - rho) / 2.0))
 
 

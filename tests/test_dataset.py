@@ -1,10 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gpembed.dataset import DatasetError, from_arrays, load_csv, neighbour_order, normalize
+from gpembed.dataset import (
+    ROW_BLOCK,
+    DatasetError,
+    from_arrays,
+    load_csv,
+    neighbour_order,
+    normalize,
+)
+from gpembed.manifold_cost import embedding_cost
 from oracles import brute_neighbour_order
 
 
@@ -79,6 +89,21 @@ class TestNeighbourOrder:
         assert capped.shape == (10, 4)
         assert np.array_equal(capped, full[:, :4])
 
+    @pytest.mark.parametrize("levels, dims", [(4, 3), (3, 2)])
+    def test_matches_bruteforce_across_row_blocks(self, levels, dims):
+        # a coarse grid forces exact distance ties in every row block; on the
+        # 3 x 3 grid each point has ~33 duplicates, so with 20 neighbours many
+        # rows list only lower-index duplicates and never reach themselves
+        rng = np.random.default_rng(41)
+        pts = rng.integers(0, levels, size=(ROW_BLOCK + 44, dims)).astype(float)
+        want = brute_neighbour_order(pts)
+        assert neighbour_order(pts).tolist() == want
+        assert neighbour_order(pts, max_neighbours=20).tolist() == [row[:20] for row in want]
+
+    def test_rejects_non_positive_max_neighbours(self):
+        with pytest.raises(DatasetError, match="max_neighbours"):
+            neighbour_order(np.eye(3), max_neighbours=0)
+
     @settings(max_examples=50, deadline=None)
     @given(
         arrays(
@@ -104,6 +129,24 @@ class TestNeighbourOrder:
     )
     def test_invariant_under_uniform_scaling(self, pts, scale):
         assert np.array_equal(neighbour_order(pts), neighbour_order(pts * scale))
+
+
+class TestMemory:
+    def test_peak_allocation_is_bounded_at_moderate_n(self):
+        # a full n x n x m difference array would be 180 MB here
+        n, m, k = 1500, 10, 50
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(n, m))
+        embedding = rng.normal(size=(n, 4))
+        tracemalloc.start()
+        try:
+            ds = from_arrays(X, max_neighbours=k)
+            embedding_cost(embedding, ds.neighbour_order)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ds.neighbour_order.shape == (n, k)
+        assert peak < 32e6, f"peak allocation {peak / 1e6:.1f} MB"
 
 
 class TestLoadCsv:

@@ -45,6 +45,17 @@ class TestKnn:
         b = knn_cv_accuracy(ds.instances * 1000.0, ds.labels, rng=np.random.default_rng(4))
         assert a == b
 
+    @pytest.mark.parametrize("k", [1, 4, 5, 9])
+    def test_matches_bruteforce_with_duplicated_points(self, k):
+        # 12 distinct points, each repeated 5 times: every query has exact
+        # distance ties at its k-th neighbour and random labels split votes
+        rng = np.random.default_rng(100 + k)
+        X = np.repeat(rng.integers(0, 3, size=(12, 3)).astype(float), 5, axis=0)
+        labels = rng.integers(0, 3, size=60)
+        got = knn_cv_accuracy(X, labels, k=k, folds=10, rng=np.random.default_rng(k))
+        assignment = fold_assignment(labels, 10, np.random.default_rng(k))
+        assert got == _brute_knn_cv(X, labels, assignment, k, 10)
+
     def test_missing_labels_rejected(self):
         with pytest.raises(ValueError, match="labels"):
             knn_cv_accuracy(np.zeros((10, 2)), None)
@@ -61,6 +72,26 @@ class TestKnn:
             mean, std = knn_cv_accuracy(X, labels, k=3, folds=10,
                                         rng=np.random.default_rng(0))
         assert 0.0 <= mean <= 1.0
+
+
+def _brute_knn_cv(X, labels, assignment, k, folds):
+    """Per test point: sort training points by (squared distance, index), vote
+    over the first k, smallest class id wins a tied vote."""
+    rows = X.tolist()
+    accuracies = []
+    for f in range(folds):
+        hits = []
+        for i in np.flatnonzero(assignment == f):
+            ranked = sorted(
+                (sum((a - b) ** 2 for a, b in zip(rows[i], rows[j])), j)
+                for j in np.flatnonzero(assignment != f)
+            )
+            votes = [0] * (int(labels.max()) + 1)
+            for _, j in ranked[:k]:
+                votes[labels[j]] += 1
+            hits.append(votes.index(max(votes)) == labels[i])
+        accuracies.append(float(np.mean(hits)))
+    return float(np.mean(accuracies)), float(np.std(accuracies))
 
 
 class TestFoldAssignment:

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import small_config
 from gpembed.dataset import from_arrays
 from gpembed.evolution import initialise
 from gpembed.expr import Individual, parse
-from gpembed.manifold_cost import cost, embedding_cost, fractional_ranks, spearman
+from gpembed.manifold_cost import _row_ranks, cost, embedding_cost, fractional_ranks, spearman
 from oracles import (
     brute_embedding_cost,
     brute_fractional_ranks,
@@ -71,6 +72,24 @@ class TestFractionalRanks:
         assert got.tolist() == brute_fractional_ranks(values)
 
 
+class TestRowRanks:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        arrays(
+            np.float64,
+            st.tuples(st.integers(1, 6), st.integers(2, 25)),
+            elements=st.one_of(st.integers(0, 3).map(float), st.floats(0.0, 1e6)),
+        )
+    )
+    def test_equals_fractional_ranks(self, values):
+        # rows mix small integers (ties) with continuous values (mostly untied)
+        assert np.array_equal(_row_ranks(values), fractional_ranks(values))
+
+    def test_untied_rows_are_exact_integers(self):
+        values = np.array([[0.3, 0.1, 0.2], [5.0, 5.0, 1.0]])
+        assert _row_ranks(values).tolist() == [[3.0, 1.0, 2.0], [2.5, 2.5, 1.0]]
+
+
 class TestCost:
     def test_feature_copy_is_free(self):
         rng = np.random.default_rng(0)
@@ -96,6 +115,19 @@ class TestCost:
             assert got == embedding_cost(embedding, ds.neighbour_order)
             want = brute_embedding_cost(embedding, ds.neighbour_order.tolist())
             assert got == pytest.approx(want, abs=1e-12)
+
+    def test_matches_bruteforce_on_quantized_embeddings(self):
+        # few distinct coordinates make many squared distances equal in exact
+        # arithmetic; they must tie exactly as in the oracle's left-to-right sum
+        rng = np.random.default_rng(2403)
+        levels = np.array([0.1, 0.2, 0.3, 0.7, 1.1])
+        order = from_arrays(rng.normal(size=(30, 4))).neighbour_order
+        for trial in range(60):
+            t = 3 + trial % 4
+            embedding = rng.choice(levels, size=(30, t))
+            got = embedding_cost(embedding, order)
+            want = brute_embedding_cost(embedding.tolist(), order.tolist())
+            assert abs(got - want) <= 1e-12, (trial, got, want)
 
     def test_bounds(self):
         rng = np.random.default_rng(17)
