@@ -9,41 +9,57 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from typing import NamedTuple
 
 from . import evolution, harness
 from .complexity import CostClass, CostModel, baseline_complexity, complexity_report
 from .dataset import DatasetError, load_csv
-from .expr import Individual, TreeParseError, eval_individual, max_feature_index, parse
+from .expr import OPERATORS, Individual, TreeParseError, eval_individual, max_feature_index, parse
 
 
 class ConfigError(ValueError):
     pass
 
 
-# flat config-file keys, their types, and defaults (None = unset)
-CONFIG_SCHEMA: dict[str, tuple[type, object]] = {
-    "data.path": (str, None),
-    "data.label_col": (str, None),
-    "out.dir": (str, "out"),
-    "evo.generations": (int, 1000),
-    "evo.population": (int, 100),
-    "evo.seed": (int, 0),
-    "evo.p_xover": (float, 0.70),
-    "evo.p_mut": (float, 0.15),
-    "evo.p_tree_mut": (float, 0.15),
-    "evo.min_depth": (int, 2),
-    "evo.max_depth": (int, 14),
-    "evo.neighbourhood": (int, 15),
-    "evo.threads": (int, 1),
-    "cost.mu": (float, 0.75),
-    "cost.size_max": (int, 100),
-    "cost.leaf": (float, 1.0),
-    "cost.max_neighbours": (int, None),
-    "eval.k": (int, 5),
-    "eval.folds": (int, 10),
+class Setting(NamedTuple):
+    """One config key: its type, its default (None = unset) and, when a flag
+    sets it too, the flag's argparse dest (the flag is `--dest` with dashes),
+    the subcommands that take the flag, and its help text."""
+
+    kind: type
+    default: object = None
+    dest: str | None = None
+    commands: tuple[str, ...] = ()
+    help: str | None = None
+
+
+_RUN = ("run",)
+_DATA = ("run", "embed")
+_ALL = ("run", "score", "embed")
+
+# flat config-file keys; the `cost.<operator>` keys come from the operator table
+CONFIG_SCHEMA: dict[str, Setting] = {
+    "data.path": Setting(str, None, "data", _DATA, "dataset CSV path"),
+    "data.label_col": Setting(str, None, "label_col", _DATA, "name of the label column"),
+    "cost.max_neighbours": Setting(int, None, "max_neighbours", _DATA, "neighbours ranked per row"),
+    "cost.mu": Setting(float, 0.75, "mu", _ALL, "scaling threshold"),
+    "cost.size_max": Setting(int, 100, "size_max", _ALL, "scaling reference size"),
+    "cost.leaf": Setting(float, 1.0, "leaf", _ALL, "leaf complexity weight"),
+    "out.dir": Setting(str, "out", "out", _RUN, "output directory (default: out)"),
+    "evo.seed": Setting(int, 0, "seed", _RUN, "run seed"),
+    "evo.generations": Setting(int, 1000, "generations", _RUN, "number of generations"),
+    "evo.population": Setting(int, 100, "population", _RUN, "population size"),
+    "evo.threads": Setting(int, 1, "threads", _RUN, "threads evaluating offspring"),
+    "evo.p_xover": Setting(float, 0.70, "p_xover", _RUN, "crossover probability"),
+    "evo.p_mut": Setting(float, 0.15, "p_mut", _RUN, "subtree mutation probability"),
+    "evo.p_tree_mut": Setting(float, 0.15, "p_tree_mut", _RUN, "add/remove-tree probability"),
+    "evo.min_depth": Setting(int, 2, "min_depth", _RUN, "minimum tree depth"),
+    "evo.max_depth": Setting(int, 14, "max_depth", _RUN, "maximum tree depth"),
+    "evo.neighbourhood": Setting(int, 15, "neighbourhood", _RUN, "mating neighbourhood size"),
+    "eval.k": Setting(int, 5, "k", _RUN, "KNN neighbours for evaluation"),
+    "eval.folds": Setting(int, 10, "folds", _RUN, "cross-validation folds"),
+    **{f"cost.{op}": Setting(str) for op in OPERATORS},
 }
-for _op in ("add", "sub", "mul", "pdiv", "max", "min", "abs", "relu", "sigmoid"):
-    CONFIG_SCHEMA[f"cost.{_op}"] = (str, None)
 
 
 def parse_config_file(path) -> dict[str, object]:
@@ -68,18 +84,12 @@ def parse_config_file(path) -> dict[str, object]:
     return values
 
 
-def _coerce(key: str, value):
-    if value is None:
-        return None
-    kind = CONFIG_SCHEMA[key][0]
+def _coerce(key: str, value: str):
+    kind = CONFIG_SCHEMA[key].kind
     try:
-        if kind is int:
-            return int(value)
-        if kind is float:
-            return float(value)
+        return kind(value)
     except ValueError:
         raise ConfigError(f"config key {key!r}: cannot parse {value!r} as {kind.__name__}") from None
-    return str(value)
 
 
 def parse_cost_set(text: str) -> dict[str, str]:
@@ -96,47 +106,23 @@ def parse_cost_set(text: str) -> dict[str, str]:
 
 
 def resolve_config(args: argparse.Namespace) -> dict[str, object]:
-    values = {key: default for key, (_, default) in CONFIG_SCHEMA.items()}
+    values = {key: setting.default for key, setting in CONFIG_SCHEMA.items()}
     if getattr(args, "config", None):
         values.update(parse_config_file(args.config))
-
-    flag_map = {
-        "data": "data.path",
-        "label_col": "data.label_col",
-        "out": "out.dir",
-        "seed": "evo.seed",
-        "generations": "evo.generations",
-        "population": "evo.population",
-        "threads": "evo.threads",
-        "p_xover": "evo.p_xover",
-        "p_mut": "evo.p_mut",
-        "p_tree_mut": "evo.p_tree_mut",
-        "min_depth": "evo.min_depth",
-        "max_depth": "evo.max_depth",
-        "neighbourhood": "evo.neighbourhood",
-        "mu": "cost.mu",
-        "size_max": "cost.size_max",
-        "leaf": "cost.leaf",
-        "max_neighbours": "cost.max_neighbours",
-        "k": "eval.k",
-        "folds": "eval.folds",
-    }
-    for attr, key in flag_map.items():
-        flag_value = getattr(args, attr, None)
-        if flag_value is not None:
-            values[key] = flag_value
+    for key, setting in CONFIG_SCHEMA.items():
+        if setting.dest and getattr(args, setting.dest, None) is not None:
+            values[key] = getattr(args, setting.dest)
     if getattr(args, "cost_set", None):
         for op, cls in parse_cost_set(args.cost_set).items():
-            key = f"cost.{op}"
-            if key not in CONFIG_SCHEMA or CONFIG_SCHEMA[key][0] is not str or "." in op:
+            if op not in OPERATORS:
                 raise ConfigError(f"--cost-set names unknown operator {op!r}")
-            values[key] = cls
+            values[f"cost.{op}"] = cls
     return values
 
 
 def build_cost_model(values: dict[str, object]) -> CostModel:
     overrides = {}
-    for op in ("add", "sub", "mul", "pdiv", "max", "min", "abs", "relu", "sigmoid"):
+    for op in OPERATORS:
         assigned = values.get(f"cost.{op}")
         if assigned is not None:
             try:
@@ -175,11 +161,21 @@ def build_evolution_config(values: dict[str, object]) -> evolution.EvolutionConf
 
 
 def write_resolved(values: dict[str, object], path) -> None:
+    """Write the set values as a config file that `parse_config_file` reads back
+    unchanged; a value it would read differently is a ConfigError."""
+    lines = []
+    for key in sorted(values):
+        if values[key] is None:
+            continue
+        text = str(values[key])
+        if "#" in text or "\n" in text or "\r" in text or text != text.strip():
+            raise ConfigError(
+                f"{key} = {text!r} cannot be replayed from a config file: "
+                "it holds '#', a line break, or leading or trailing whitespace"
+            )
+        lines.append(f"{key} = {text}\n")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for key in sorted(values):
-            if values[key] is None:
-                continue
-            fh.write(f"{key} = {values[key]}\n")
+        fh.writelines(lines)
 
 
 def _load_trees(path) -> Individual:
@@ -279,17 +275,18 @@ def cmd_embed(args) -> int:
     return 0
 
 
-def _add_common_flags(sub: argparse.ArgumentParser, with_data: bool) -> None:
+def _add_flags(sub: argparse.ArgumentParser, command: str) -> None:
     sub.add_argument("--config", help="config file of 'key = value' lines")
-    if with_data:
-        sub.add_argument("--data", help="dataset CSV path")
-        sub.add_argument("--label-col", dest="label_col", help="name of the label column")
-        sub.add_argument("--max-neighbours", dest="max_neighbours", type=int)
-    sub.add_argument("--mu", type=float, help="scaling threshold")
-    sub.add_argument("--size-max", dest="size_max", type=int, help="scaling reference size")
-    sub.add_argument("--leaf", type=float, help="leaf complexity weight")
     sub.add_argument("--cost-set", dest="cost_set",
                      help="operator cost overrides, e.g. mul=sum,relu=prod")
+    for setting in CONFIG_SCHEMA.values():
+        if command in setting.commands:
+            sub.add_argument(
+                "--" + setting.dest.replace("_", "-"),
+                dest=setting.dest,
+                type=None if setting.kind is str else setting.kind,
+                help=setting.help,
+            )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -300,30 +297,17 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     run_p = subs.add_parser("run", help="run an evolutionary search and write reports")
-    _add_common_flags(run_p, with_data=True)
-    run_p.add_argument("--out", help="output directory (default: out)")
-    run_p.add_argument("--seed", type=int)
-    run_p.add_argument("--generations", type=int)
-    run_p.add_argument("--population", type=int)
-    run_p.add_argument("--threads", type=int)
-    run_p.add_argument("--p-xover", dest="p_xover", type=float)
-    run_p.add_argument("--p-mut", dest="p_mut", type=float)
-    run_p.add_argument("--p-tree-mut", dest="p_tree_mut", type=float)
-    run_p.add_argument("--min-depth", dest="min_depth", type=int)
-    run_p.add_argument("--max-depth", dest="max_depth", type=int)
-    run_p.add_argument("--neighbourhood", type=int)
-    run_p.add_argument("--k", type=int, help="KNN neighbours for evaluation")
-    run_p.add_argument("--folds", type=int, help="cross-validation folds")
+    _add_flags(run_p, "run")
     run_p.set_defaults(func=cmd_run)
 
     score_p = subs.add_parser("score", help="print the complexity breakdown of trees")
     score_p.add_argument("tree_file", help="file of s-expressions, one per line")
-    _add_common_flags(score_p, with_data=False)
+    _add_flags(score_p, "score")
     score_p.set_defaults(func=cmd_score)
 
     embed_p = subs.add_parser("embed", help="evaluate trees on a dataset to a CSV")
     embed_p.add_argument("tree_file", help="file of s-expressions, one per line")
-    _add_common_flags(embed_p, with_data=True)
+    _add_flags(embed_p, "embed")
     embed_p.add_argument("--out", help="embedding CSV path (default: embedding.csv)")
     embed_p.set_defaults(func=cmd_embed)
     return parser

@@ -17,16 +17,16 @@ exceeds a fraction ``mu`` of ``size_max`` nodes.  Exponents are capped at
 2**64 so pathological trees stay finite and comparable.
 
 A simpler legacy metric (`baseline_complexity`) is kept for comparison
-reports: variables cost 2, +/- sum their children, */÷ multiply them plus
-one, and every non-arithmetic operator costs 2 to the power of its first
-child's value.
+reports: by default cost class, variables cost 2, sum operators sum their
+children, prod operators multiply them plus one, and exp operators cost 2
+to the power of their first child's value.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .expr import Individual, Node, OPERATOR_ARITY
+from .expr import OPERATOR_TABLE, Individual, Node
 
 EXP_CAP_BITS = 64.0
 _BASELINE_EXP_LIMIT = 1023.0
@@ -49,15 +49,7 @@ class CostClass(Enum):
 
 
 DEFAULT_OPERATOR_COSTS: dict[str, CostClass] = {
-    "add": CostClass.SUM,
-    "sub": CostClass.SUM,
-    "mul": CostClass.PROD,
-    "pdiv": CostClass.PROD,
-    "max": CostClass.EXP,
-    "min": CostClass.EXP,
-    "abs": CostClass.EXP,
-    "relu": CostClass.EXP,
-    "sigmoid": CostClass.EXP,
+    name: CostClass(op.cost_class) for name, op in OPERATOR_TABLE.items()
 }
 
 
@@ -80,7 +72,7 @@ class CostModel:
         if self.leaf_complexity <= 0.0:
             raise ValueError(f"leaf_complexity must be > 0, got {self.leaf_complexity}")
         for op, cls in self.operator_costs.items():
-            if op not in OPERATOR_ARITY:
+            if op not in OPERATOR_TABLE:
                 raise ValueError(f"cost assigned to unknown operator {op!r}")
             if not isinstance(cls, CostClass):
                 raise ValueError(f"cost for {op!r} must be a CostClass, got {cls!r}")
@@ -204,9 +196,10 @@ def baseline_complexity(tree: Node) -> float:
     if tree.op is None:
         return 2.0
     children = [baseline_complexity(c) for c in tree.children]
-    if tree.op in ("add", "sub"):
+    cost_class = DEFAULT_OPERATOR_COSTS[tree.op]
+    if cost_class is CostClass.SUM:
         return sum(children)
-    if tree.op in ("mul", "pdiv"):
+    if cost_class is CostClass.PROD:
         prod = 1.0
         for c in children:
             prod = min(prod * c, _FLOAT_MAX)

@@ -24,6 +24,7 @@ import numpy as np
 from . import complexity, manifold_cost
 from .dataset import Dataset
 from .expr import (
+    MAX_TREE_DEPTH,
     Individual,
     get_subtree,
     grow_subtree,
@@ -70,8 +71,8 @@ class EvolutionConfig:
             raise ValueError("moead_neighbourhood must be >= 2")
         if self.moead_neighbourhood > self.population_size:
             raise ValueError("moead_neighbourhood must not exceed population_size")
-        if not 1 <= self.min_depth <= self.max_depth:
-            raise ValueError("need 1 <= min_depth <= max_depth")
+        if not 1 <= self.min_depth <= self.max_depth <= MAX_TREE_DEPTH:
+            raise ValueError(f"need 1 <= min_depth <= max_depth <= {MAX_TREE_DEPTH}")
         if not self.min_depth <= self.init_depth_cap <= self.max_depth:
             raise ValueError("init_depth_cap must lie in [min_depth, max_depth]")
         if self.generations < 0:

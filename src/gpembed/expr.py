@@ -9,25 +9,39 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-# arity table for the full function set
-OPERATOR_ARITY: dict[str, int] = {
-    "add": 2,
-    "sub": 2,
-    "mul": 2,
-    "pdiv": 2,
-    "max": 2,
-    "min": 2,
-    "abs": 1,
-    "relu": 1,
-    "sigmoid": 1,
-}
-OPERATORS: tuple[str, ...] = tuple(OPERATOR_ARITY)
-
 FLOAT_MAX = float(np.finfo(np.float64).max)
 PDIV_EPS = 1e-6
+# deepest tree (in edges) that `parse` accepts and a run may build; far above
+# any search depth, and well inside the interpreter's frame limit for the
+# recursive walks (some use two frames per level)
+MAX_TREE_DEPTH = 200
+
+
+class Operator(NamedTuple):
+    arity: int
+    kernel: Callable[..., np.ndarray]
+    cost_class: str  # default `complexity.CostClass` value
+
+
+# The function set, written once: config keys, cost defaults, the parser and
+# evaluation all read it.  Its order is part of every seeded run, since
+# random generation draws `OPERATORS[rng.integers(len(OPERATORS))]`.
+OPERATOR_TABLE: dict[str, Operator] = {
+    "add": Operator(2, np.add, "sum"),
+    "sub": Operator(2, np.subtract, "sum"),
+    "mul": Operator(2, np.multiply, "prod"),
+    "pdiv": Operator(2, lambda a, b: np.where(np.abs(b) >= PDIV_EPS, np.divide(a, b), 1.0), "prod"),
+    "max": Operator(2, np.maximum, "exp"),
+    "min": Operator(2, np.minimum, "exp"),
+    "abs": Operator(1, np.abs, "exp"),
+    "relu": Operator(1, lambda a: np.maximum(a, 0.0), "exp"),
+    "sigmoid": Operator(1, lambda a: 1.0 / (1.0 + np.exp(-a)), "exp"),
+}
+OPERATORS: tuple[str, ...] = tuple(OPERATOR_TABLE)
 
 _TOKEN_RE = re.compile(r"[()]|[^\s()]+")
 _FEATURE_RE = re.compile(r"^f(\d+)$")
@@ -69,9 +83,9 @@ class Node:
 
     @staticmethod
     def call(op: str, *children: "Node") -> "Node":
-        arity = OPERATOR_ARITY.get(op)
-        if arity is None:
+        if op not in OPERATOR_TABLE:
             raise ValueError(f"unknown operator {op!r}")
+        arity = OPERATOR_TABLE[op].arity
         if len(children) != arity:
             raise ValueError(f"{op} takes {arity} children, got {len(children)}")
         return Node(op, -1, children)
@@ -117,28 +131,12 @@ class Individual:
 def _eval(node: Node, X: np.ndarray) -> np.ndarray:
     if node.op is None:
         return X[:, node.feature]
+    kernel = OPERATOR_TABLE[node.op].kernel
     a = _eval(node.children[0], X)
-    op = node.op
-    if op == "abs":
-        out = np.abs(a)
-    elif op == "relu":
-        out = np.maximum(a, 0.0)
-    elif op == "sigmoid":
-        out = 1.0 / (1.0 + np.exp(-a))
+    if len(node.children) == 1:
+        out = kernel(a)
     else:
-        b = _eval(node.children[1], X)
-        if op == "add":
-            out = a + b
-        elif op == "sub":
-            out = a - b
-        elif op == "mul":
-            out = a * b
-        elif op == "pdiv":
-            out = np.where(np.abs(b) >= PDIV_EPS, np.divide(a, b), 1.0)
-        elif op == "max":
-            out = np.maximum(a, b)
-        else:  # min
-            out = np.minimum(a, b)
+        out = kernel(a, _eval(node.children[1], X))
     # saturate overflow so downstream ranks stay well-defined
     return np.clip(out, -FLOAT_MAX, FLOAT_MAX)
 
@@ -215,7 +213,7 @@ def _generate(depth, target, depth_min, method, n_features, rng) -> Node:
     op = OPERATORS[int(rng.integers(len(OPERATORS)))]
     children = tuple(
         _generate(depth + 1, target, depth_min, method, n_features, rng)
-        for _ in range(OPERATOR_ARITY[op])
+        for _ in range(OPERATOR_TABLE[op].arity)
     )
     return Node(op, -1, children)
 
@@ -277,44 +275,49 @@ def serialize(tree: Node) -> str:
 
 
 def parse(text: str) -> Node:
-    """Parse a single s-expression; raises TreeParseError on the first bad token."""
+    """Parse a single s-expression; raises TreeParseError on the first bad token,
+    including an operator nested deeper than MAX_TREE_DEPTH allows."""
     tokens = [(m.group(), m.start()) for m in _TOKEN_RE.finditer(text)]
     if not tokens:
         raise TreeParseError("empty input", 0)
-    tree, rest = _parse_tokens(tokens)
-    if rest:
-        raise TreeParseError(f"unexpected trailing token {rest[0][0]!r}", rest[0][1])
+    tree, end = _parse_tokens(tokens, 0, 0)
+    if end < len(tokens):
+        tok, pos = tokens[end]
+        raise TreeParseError(f"unexpected trailing token {tok!r}", pos)
     return tree
 
 
-def _parse_tokens(tokens):
-    tok, pos = tokens[0]
+def _parse_tokens(tokens, i: int, depth: int):
+    """Parse the subtree that starts at tokens[i], `depth` edges below the root;
+    returns it and the index of the token after it."""
+    tok, pos = tokens[i]
     if tok == ")":
         raise TreeParseError("unexpected ')'", pos)
     if tok != "(":
         m = _FEATURE_RE.match(tok)
         if m is None:
             raise TreeParseError(f"expected a feature terminal, got {tok!r}", pos)
-        return Node.leaf(int(m.group(1))), tokens[1:]
-    if len(tokens) < 2:
+        return Node.leaf(int(m.group(1))), i + 1
+    if depth >= MAX_TREE_DEPTH:
+        raise TreeParseError(f"tree deeper than {MAX_TREE_DEPTH} levels", pos)
+    if i + 1 == len(tokens):
         raise TreeParseError("unexpected end of input after '('", pos)
-    op, op_pos = tokens[1]
-    arity = OPERATOR_ARITY.get(op)
-    if arity is None:
+    op, op_pos = tokens[i + 1]
+    if op not in OPERATOR_TABLE:
         raise TreeParseError(f"unknown operator {op!r}", op_pos)
-    rest = tokens[2:]
+    i += 2
     children = []
-    for _ in range(arity):
-        if not rest:
+    for _ in range(OPERATOR_TABLE[op].arity):
+        if i == len(tokens):
             raise TreeParseError(f"missing operand for {op!r}", op_pos)
-        child, rest = _parse_tokens(rest)
+        child, i = _parse_tokens(tokens, i, depth + 1)
         children.append(child)
-    if not rest:
+    if i == len(tokens):
         raise TreeParseError(f"missing ')' for {op!r}", op_pos)
-    close, close_pos = rest[0]
+    close, close_pos = tokens[i]
     if close != ")":
         raise TreeParseError(f"expected ')', got {close!r}", close_pos)
-    return Node(op, -1, tuple(children)), rest[1:]
+    return Node(op, -1, tuple(children)), i + 1
 
 
 def to_dot(ind: Individual, feature_names=None) -> str:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -188,11 +188,17 @@ def evaluate_entries(
     k: int = 5,
     folds: int = 10,
     model: CostModel = DEFAULT_COST_MODEL,
+    known: dict[tuple[str, ...], EvalRecord] | None = None,
 ) -> list[EvalRecord]:
     """EvalRecord per entry; the same seeded folds are reused for every entry
-    so accuracies are comparable across the front."""
+    so accuracies are comparable across the front.  An entry whose trees are a
+    key of `known` reuses that record under its own id; `known` must come from
+    the same dataset, seed, k, folds and model."""
     records = []
     for entry_id, entry in enumerate(entries):
+        if known and entry.sexprs in known:
+            records.append(replace(known[entry.sexprs], entry_id=entry_id))
+            continue
         if dataset.labels is not None:
             embedding = eval_individual(entry.individual, dataset)
             acc_mean, acc_std = knn_cv_accuracy(
@@ -234,7 +240,8 @@ def report(
 
     final_entries = sorted_entries(result.final_front)
     final_records = evaluate_entries(
-        final_entries, dataset, config.seed, k=k, folds=folds, model=model
+        final_entries, dataset, config.seed, k=k, folds=folds, model=model,
+        known={entry.sexprs: rec for entry, rec in zip(entries, records)},
     )
     _write_front_csv(os.path.join(out_dir, "final_front.csv"), final_entries, final_records)
 

@@ -1,13 +1,17 @@
+import shutil
+
 import numpy as np
 import pytest
 
 from conftest import make_clusters
 from gpembed.cli import (
     ConfigError,
+    build_parser,
     main,
     parse_config_file,
     parse_cost_set,
     resolve_config,
+    write_resolved,
 )
 from gpembed.dataset import load_csv
 from gpembed.manifold_cost import embedding_cost
@@ -83,6 +87,16 @@ class TestRunCommand:
         ]) == 0
         assert (out_a / "front.csv").read_bytes() == (out_b / "front.csv").read_bytes()
 
+    def test_hash_in_data_path_rejected_before_search(self, tiny_csv, tmp_path, capsys):
+        # '#' starts a comment in a config file, so this path would not replay
+        hashed = tmp_path / "a#b"
+        hashed.mkdir()
+        data = shutil.copy(tiny_csv, hashed / "tiny.csv")
+        out = tmp_path / "out"
+        assert main(run_args(str(data), out)) == 1
+        assert "cannot be replayed" in capsys.readouterr().err
+        assert not (out / "front.csv").exists()
+
     def test_cost_set_flag(self, tiny_csv, tmp_path):
         out = tmp_path / "cs"
         assert main(run_args(tiny_csv, out, extra=["--cost-set", "mul=sum,relu=prod"])) == 0
@@ -126,6 +140,69 @@ class TestConfigResolution:
         with pytest.raises(ConfigError, match="cannot parse"):
             parse_config_file(cfg)
 
+    def test_write_resolved_round_trip(self, tmp_path):
+        args = build_parser().parse_args([
+            "run", "--data", "data dir/wine.csv", "--label-col", "class", "--seed", "3",
+            "--p-xover", "0.6", "--p-mut", "0.25", "--p-tree-mut", "0.15", "--mu", "0.8",
+            "--max-neighbours", "40", "--cost-set", "mul=sum,relu=prod",
+        ])
+        values = resolve_config(args)
+        write_resolved(values, tmp_path / "config.resolved")
+        assert parse_config_file(tmp_path / "config.resolved") == {
+            key: value for key, value in values.items() if value is not None
+        }
+
+    @pytest.mark.parametrize("bad", ["a#b.csv", " wine.csv", "wine.csv ", "a\nb.csv", "a\rb.csv"])
+    def test_write_resolved_rejects_unreadable_values(self, tmp_path, bad):
+        with pytest.raises(ConfigError, match="cannot be replayed"):
+            write_resolved({"data.path": bad}, tmp_path / "config.resolved")
+        assert not (tmp_path / "config.resolved").exists()
+
+    def test_flag_set(self):
+        # option strings, dests and types per subcommand; str flags carry no type
+        common = {
+            "--config": ("config", None),
+            "--mu": ("mu", float),
+            "--size-max": ("size_max", int),
+            "--leaf": ("leaf", float),
+            "--cost-set": ("cost_set", None),
+        }
+        data = {
+            "--data": ("data", None),
+            "--label-col": ("label_col", None),
+            "--max-neighbours": ("max_neighbours", int),
+        }
+        expected = {
+            "run": {
+                **common,
+                **data,
+                "--out": ("out", None),
+                "--seed": ("seed", int),
+                "--generations": ("generations", int),
+                "--population": ("population", int),
+                "--threads": ("threads", int),
+                "--p-xover": ("p_xover", float),
+                "--p-mut": ("p_mut", float),
+                "--p-tree-mut": ("p_tree_mut", float),
+                "--min-depth": ("min_depth", int),
+                "--max-depth": ("max_depth", int),
+                "--neighbourhood": ("neighbourhood", int),
+                "--k": ("k", int),
+                "--folds": ("folds", int),
+            },
+            "score": {**common, "tree_file": ("tree_file", None)},
+            "embed": {**common, **data, "--out": ("out", None), "tree_file": ("tree_file", None)},
+        }
+        subparsers = next(a for a in build_parser()._actions if a.dest == "command")
+        assert set(subparsers.choices) == set(expected)
+        for command, sub in subparsers.choices.items():
+            flags = {
+                " ".join(action.option_strings) or action.dest: (action.dest, action.type)
+                for action in sub._actions
+                if action.dest != "help"
+            }
+            assert flags == expected[command], command
+
     def test_parse_cost_set(self):
         assert parse_cost_set("mul=sum, relu=prod") == {"mul": "sum", "relu": "prod"}
         with pytest.raises(ConfigError):
@@ -160,6 +237,14 @@ class TestScoreCommand:
         assert main(["score", str(path)]) == 1
         err = capsys.readouterr().err
         assert "'foo'" in err
+        assert "position" in err
+
+    def test_too_deep_tree_exits_one_with_position(self, tmp_path, capsys):
+        path = tmp_path / "deep.sexp"
+        path.write_text("(abs " * 1200 + "f0" + ")" * 1200 + "\n", encoding="utf-8")
+        assert main(["score", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "deeper than" in err
         assert "position" in err
 
     def test_score_respects_cost_flags(self, tmp_path, capsys):

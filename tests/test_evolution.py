@@ -14,7 +14,7 @@ from gpembed.evolution import (
     tchebycheff,
     vary,
 )
-from gpembed.expr import Individual, parse, serialize
+from gpembed.expr import MAX_TREE_DEPTH, Individual, parse, serialize
 
 
 def entry(cost, complexity, tag="t"):
@@ -37,6 +37,11 @@ class TestConfig:
     def test_population_floor(self):
         with pytest.raises(ValueError, match="population"):
             EvolutionConfig(population_size=3, moead_neighbourhood=2).validate()
+
+    def test_max_depth_bounded_by_parser(self):
+        EvolutionConfig(max_depth=MAX_TREE_DEPTH).validate()
+        with pytest.raises(ValueError, match="max_depth"):
+            EvolutionConfig(max_depth=MAX_TREE_DEPTH + 1).validate()
 
     def test_neighbourhood_bounded_by_population(self):
         with pytest.raises(ValueError, match="neighbourhood"):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from gpembed.expr import (
     FLOAT_MAX,
+    MAX_TREE_DEPTH,
     Individual,
     Node,
     TreeParseError,
@@ -142,6 +143,16 @@ class TestRandomTree:
         b = random_tree(7, 2, 6, "grow", np.random.default_rng(1234))
         assert serialize(a) == serialize(b)
 
+    def test_pinned_draws(self):
+        # the operator table's order is part of every seeded run
+        full = random_tree(13, 4, 4, "full", np.random.default_rng(92))
+        assert serialize(full) == (
+            "(max (min (sigmoid (add f6 f4)) (pdiv (pdiv f8 f0) (abs f11))) "
+            "(mul (add (min f0 f6) (min f0 f0)) (mul (sub f4 f2) (relu f6))))"
+        )
+        grow = random_tree(13, 2, 5, "grow", np.random.default_rng(2024))
+        assert serialize(grow) == "(abs (add f2 f4))"
+
     def test_feature_indices_in_range(self):
         rng = np.random.default_rng(21)
         for _ in range(200):
@@ -193,6 +204,19 @@ class TestSerialization:
     def test_empty_input(self):
         with pytest.raises(TreeParseError, match="empty input"):
             parse("   ")
+
+    def test_depth_bound(self):
+        def chain(depth):
+            return "(abs " * depth + "f0" + ")" * depth
+
+        deepest = parse(chain(MAX_TREE_DEPTH))
+        assert deepest.depth == MAX_TREE_DEPTH
+        assert serialize(deepest) == chain(MAX_TREE_DEPTH)
+        assert eval_tree(deepest, [-2.0]) == 2.0
+        for depth in (MAX_TREE_DEPTH + 1, 1200):
+            with pytest.raises(TreeParseError, match="deeper than") as err:
+                parse(chain(depth))
+            assert err.value.position == len("(abs ") * MAX_TREE_DEPTH
 
     @settings(max_examples=100, deadline=None)
     @given(random_trees())

@@ -5,6 +5,7 @@ from conftest import make_clusters, make_separated_clusters, small_config
 from gpembed.dataset import from_arrays
 from gpembed.evolution import EvolutionConfig, GenerationStats, RunResult, run
 from gpembed.expr import Individual, parse
+from gpembed import harness
 from gpembed.harness import fold_assignment, knn_cv_accuracy, report, summary_stats
 from oracles import brute_census
 
@@ -202,6 +203,28 @@ class TestReport:
         report(result, ds, config, tmp_path / "b")
         for name in ("front.csv", "final_front.csv", "summary.csv", "telemetry.csv", "baseline.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_individual_on_both_fronts_is_scored_once(self, finished_run, tmp_path, monkeypatch):
+        ds, config, result = finished_run
+        archive_trees = {e.sexprs for e in result.archive}
+        shared = [e for e in result.final_front if e.sexprs in archive_trees]
+        assert shared, "the run must put an individual on both fronts"
+        final_entries = harness.sorted_entries(result.final_front)
+        unshared = harness.evaluate_entries(final_entries, ds, config.seed)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return knn_cv_accuracy(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "knn_cv_accuracy", counting)
+        report(result, ds, config, tmp_path / "once")
+        # archive, final-front entries not in it, and the raw-feature baseline
+        assert len(calls) == len(result.archive) + len(result.final_front) - len(shared) + 1
+        harness._write_front_csv(tmp_path / "unshared.csv", final_entries, unshared)
+        assert (tmp_path / "once" / "final_front.csv").read_bytes() == (
+            (tmp_path / "unshared.csv").read_bytes()
+        )
 
     def test_empty_archive_writes_headers_only(self, tmp_path):
         X, labels = make_clusters(10, 4, 2, seed=8)
