@@ -160,8 +160,8 @@ def build_evolution_config(values: dict[str, object]) -> evolution.EvolutionConf
     return config
 
 
-def write_resolved(values: dict[str, object], path) -> None:
-    """Write the set values as a config file that `parse_config_file` reads back
+def resolved_text(values: dict[str, object]) -> str:
+    """The set values as config-file text that `parse_config_file` reads back
     unchanged; a value it would read differently is a ConfigError."""
     lines = []
     for key in sorted(values):
@@ -174,8 +174,14 @@ def write_resolved(values: dict[str, object], path) -> None:
                 "it holds '#', a line break, or leading or trailing whitespace"
             )
         lines.append(f"{key} = {text}\n")
+    return "".join(lines)
+
+
+def write_resolved(values: dict[str, object], path) -> None:
+    """Write `resolved_text(values)` to `path`; nothing is written on a ConfigError."""
+    text = resolved_text(values)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(lines)
+        fh.write(text)
 
 
 def _load_trees(path) -> Individual:
@@ -196,6 +202,7 @@ def cmd_run(args) -> int:
         raise ConfigError("a dataset is required (--data or data.path)")
     cost_model = build_cost_model(values)
     config = build_evolution_config(values)
+    resolved_text(values)  # refuse what config.resolved could not replay before any file I/O
     dataset = load_csv(
         values["data.path"],
         label_column=values.get("data.label_col"),

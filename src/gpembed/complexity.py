@@ -180,8 +180,19 @@ def tree_complexity(tree: Node, model: CostModel = DEFAULT_COST_MODEL) -> TreeCo
 
 
 def individual_complexity(ind: Individual, model: CostModel = DEFAULT_COST_MODEL) -> float:
-    """Sum of F(T) over the individual's trees."""
-    return sum(tree_complexity(t, model).value for t in ind.trees)
+    """Sum of F(T) over the individual's trees, left to right.
+
+    Each tree keeps its F(T) in its `complexity_memo` and reuses it while it
+    is scored with that same model.
+    """
+    return sum(_tree_value(t, model) for t in ind.trees)
+
+
+def _tree_value(tree: Node, model: CostModel) -> float:
+    memo = tree.complexity_memo
+    if memo is None or memo[0] is not model:
+        memo = tree.complexity_memo = (model, tree_complexity(tree, model).value)
+    return memo[1]
 
 
 def complexity_report(ind: Individual, model: CostModel = DEFAULT_COST_MODEL) -> ComplexityReport:

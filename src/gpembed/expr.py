@@ -3,7 +3,9 @@
 A tree maps a feature vector to one scalar output (one embedding
 dimension).  Trees are immutable after construction: variation operators
 build new trees instead of mutating in place, so evaluation is pure and
-safe to run concurrently.
+safe to run concurrently.  A tree root's two cache slots (see `Node`) only
+ever hold what evaluation would compute again; threads that race to fill
+one store equal values.
 """
 from __future__ import annotations
 
@@ -60,14 +62,24 @@ class Node:
 
     `size` (node count) and `depth` (edge count to the deepest leaf) are
     computed once at construction; a lone terminal has size 1 and depth 0.
+
+    Two cache slots hold what a tree root was last scored to, so that an
+    offspring re-scores only the trees it does not share with its parent:
+    `column_memo` is ``(dataset, column)`` from `eval_individual` and
+    `complexity_memo` is ``(cost_model, value)`` from
+    `complexity.individual_complexity`.  Each is reused only for the very
+    object it names (``memo[0] is ...``); holding that reference keeps the
+    object's identity from being recycled.  Neither takes part in equality.
     """
 
-    __slots__ = ("op", "feature", "children", "size", "depth")
+    __slots__ = ("op", "feature", "children", "size", "depth", "column_memo", "complexity_memo")
 
     def __init__(self, op: str | None, feature: int, children: tuple["Node", ...]):
         self.op = op
         self.feature = feature
         self.children = children
+        self.column_memo = None
+        self.complexity_memo = None
         if op is None:
             self.size = 1
             self.depth = 0
@@ -137,8 +149,10 @@ def _eval(node: Node, X: np.ndarray) -> np.ndarray:
         out = kernel(a)
     else:
         out = kernel(a, _eval(node.children[1], X))
-    # saturate overflow so downstream ranks stay well-defined
-    return np.clip(out, -FLOAT_MAX, FLOAT_MAX)
+    # saturate overflow so downstream ranks stay well-defined; every kernel
+    # returns a new array, and this is np.clip's arithmetic without its wrapper
+    np.maximum(out, -FLOAT_MAX, out=out)
+    return np.minimum(out, FLOAT_MAX, out=out)
 
 
 def eval_tree_matrix(tree: Node, instances: np.ndarray) -> np.ndarray:
@@ -155,9 +169,22 @@ def eval_tree(tree: Node, instance) -> float:
 
 
 def eval_individual(ind: Individual, data) -> np.ndarray:
-    """Embedding matrix (n x n_trees); accepts a Dataset or an instance matrix."""
-    X = data.instances if hasattr(data, "instances") else np.asarray(data, dtype=np.float64)
-    return np.column_stack([eval_tree_matrix(t, X) for t in ind.trees])
+    """Embedding matrix (n x n_trees); accepts a Dataset or an instance matrix.
+
+    On a Dataset each tree's column is kept in its `column_memo` and reused
+    while the tree is scored on that same dataset; a plain matrix bypasses it.
+    """
+    if not hasattr(data, "instances"):
+        X = np.asarray(data, dtype=np.float64)
+        return np.column_stack([eval_tree_matrix(t, X) for t in ind.trees])
+    return np.column_stack([_dataset_column(t, data) for t in ind.trees])
+
+
+def _dataset_column(tree: Node, dataset) -> np.ndarray:
+    memo = tree.column_memo
+    if memo is None or memo[0] is not dataset:
+        memo = tree.column_memo = (dataset, eval_tree_matrix(tree, dataset.instances))
+    return memo[1]
 
 
 def max_feature_index(tree: Node) -> int:

@@ -10,6 +10,14 @@ preserved and 1 means every ordering is reversed.
 Embedding distances are squared Euclidean distances summed in column order
 (`dataset.sq_distances`), so equal distances tie exactly as in a plain
 left-to-right sum, and tied distances share their average rank.
+
+`embedding_cost` sorts each row once, as integer keys that carry each
+distance's column (`_rank_correlations`), and takes an untied row's rho
+straight from that permutation in exact arithmetic; rows whose keys come
+close to a tie go through `fractional_ranks` and `_row_correlations`, the
+reference path, so every cost is bitwise what that path gives.  Columns come
+from `eval_individual`, which reuses each tree's column while it is scored
+on the same dataset (see `expr.Node`).
 """
 from __future__ import annotations
 
@@ -17,6 +25,8 @@ import numpy as np
 
 from .dataset import Dataset, sq_distances
 from .expr import Individual, eval_individual
+
+_INF_BITS = int(np.array(np.inf).view(np.int64))
 
 
 def fractional_ranks(values: np.ndarray) -> np.ndarray:
@@ -73,22 +83,41 @@ def _row_correlations(ranks: np.ndarray, ident: np.ndarray) -> np.ndarray:
     return rho
 
 
-def _row_ranks(values: np.ndarray) -> np.ndarray:
-    """`fractional_ranks` of a 2-D array, with its stable sort only where needed.
+def _rank_correlations(d2: np.ndarray) -> np.ndarray:
+    """Per row, Spearman rho between the ranks of `d2` and the identity ranking.
 
-    A row without tied values gets the inverse of its sort permutation as
-    exact integer ranks, so the (faster, unstable) default sort is enough;
-    only rows holding a tie go through `fractional_ranks`.
+    Each row is sorted once, as int64 keys holding a value's bit pattern with
+    its low `shift` bits replaced by its column: bit patterns of non-negative
+    floats (``+inf`` included) sort like the floats, and the low bits of a
+    sorted key give the row's argsort.  A row in which two adjacent keys share
+    their high bits ("near-tied", which includes every exact tie) or which
+    holds a sign bit or a NaN payload goes through `fractional_ranks`.  Every
+    other row has the inverse permutation as ranks, whose numerator
+    ``sum_p (p+1)(order_p+1) - w((w+1)/2)^2`` and sum of squares (the
+    identity's) are exact in float64, so rho is bitwise what
+    `_row_correlations` gives for those ranks.
     """
-    n, width = values.shape
-    order = np.argsort(values, axis=1)
-    sorted_vals = np.sort(values, axis=1)  # cheaper than gathering by `order`
-    tied = (sorted_vals[:, 1:] == sorted_vals[:, :-1]).any(axis=1)
-    ranks = np.empty((n, width))
-    ranks[np.arange(n)[:, None], order] = np.arange(1.0, width + 1.0)
-    if tied.any():
-        ranks[tied] = fractional_ranks(values[tied])
-    return ranks
+    width = d2.shape[1]
+    shift = (width - 1).bit_length()
+    low = (1 << shift) - 1
+    keys = d2.view(np.int64) & ~low  # == (bits >> shift) << shift
+    keys |= np.arange(width)
+    keys.sort(axis=1)
+    fallback = ((keys[:, 1:] ^ keys[:, :-1]) <= low).any(axis=1)
+    # a sum of squares holds neither, but embedding_cost takes any array
+    fallback |= keys[:, 0] < 0  # a sign bit
+    fallback |= keys[:, -1] > (_INF_BITS | low)  # a NaN payload in the high bits
+    keys &= low  # each row's argsort
+    ident = np.arange(1.0, width + 1.0)
+    ic = ident - ident.mean()
+    ident_ss = float((ic * ic).sum())
+    centre = (width + 1) / 2.0
+    num = (keys @ np.arange(1, width + 1)).astype(np.float64)
+    num += ident.sum() - width * centre * centre
+    rho = num / np.sqrt(ident_ss * ident_ss)
+    if fallback.any():
+        rho[fallback] = _row_correlations(fractional_ranks(d2[fallback]), ident)
+    return rho
 
 
 def embedding_cost(embedding: np.ndarray, neighbour_order: np.ndarray) -> float:
@@ -104,8 +133,7 @@ def embedding_cost(embedding: np.ndarray, neighbour_order: np.ndarray) -> float:
         rho = np.zeros(n)  # a single neighbour carries no ordering information
     else:
         # squared distances rank identically to distances and skip the sqrt
-        ranks = _row_ranks(sq_distances(E, E, neighbour_order))
-        rho = _row_correlations(ranks, np.arange(1.0, width + 1.0))
+        rho = _rank_correlations(sq_distances(E, E, neighbour_order))
     return float(np.mean((1.0 - rho) / 2.0))
 
 

@@ -141,6 +141,7 @@ def wine_runs():
     return pooled
 
 
+@pytest.mark.slow
 def test_criterion_6_wine_accuracy_trend(wine_runs):
     qualifying = [
         record for _, record in wine_runs
@@ -152,6 +153,7 @@ def test_criterion_6_wine_accuracy_trend(wine_runs):
           len(qualifying) >= 1)
 
 
+@pytest.mark.slow
 def test_criterion_7_explainability_trend(wine_runs):
     ordered = sorted(wine_runs, key=lambda pair: pair[1].knn_acc_mean)
     _, median_record = ordered[len(ordered) // 2]

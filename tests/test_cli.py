@@ -95,7 +95,7 @@ class TestRunCommand:
         out = tmp_path / "out"
         assert main(run_args(str(data), out)) == 1
         assert "cannot be replayed" in capsys.readouterr().err
-        assert not (out / "front.csv").exists()
+        assert not out.exists()
 
     def test_cost_set_flag(self, tiny_csv, tmp_path):
         out = tmp_path / "cs"

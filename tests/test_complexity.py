@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gpembed import complexity
 from gpembed.complexity import (
     CostClass,
     CostModel,
@@ -218,6 +219,27 @@ class TestIndividualComplexity:
             assert individual_complexity(Individual(trees=bigger)) > individual_complexity(
                 Individual(trees=trees)
             )
+
+    def test_two_cost_models_give_two_values(self):
+        tree = parse("(mul (add f0 f1) f2)")
+        ind = Individual(trees=(tree, parse("(sigmoid f0)")))
+        as_sum = DEFAULT_COST_MODEL.with_overrides({"mul": CostClass.SUM})
+        for model in (DEFAULT_COST_MODEL, as_sum, DEFAULT_COST_MODEL):
+            want = sum(tree_complexity(t, model).value for t in ind.trees)
+            assert individual_complexity(ind, model) == want
+        assert individual_complexity(ind, as_sum) != individual_complexity(ind)
+
+    def test_shared_tree_is_scored_once_per_model(self, monkeypatch):
+        calls = []
+        real = complexity.tree_complexity
+        monkeypatch.setattr(complexity, "tree_complexity",
+                            lambda t, m: calls.append(t) or real(t, m))
+        shared = parse("(add f0 (abs f1))")
+        first = Individual(trees=(shared, parse("f2")))
+        second = Individual(trees=(parse("(relu f0)"), shared))
+        individual_complexity(first)
+        individual_complexity(second)
+        assert sum(t is shared for t in calls) == 1 and len(calls) == 3
 
     def test_report_totals(self):
         ind = Individual(trees=(parse("(add f0 f1)"), parse("(sigmoid f0)")))

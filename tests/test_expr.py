@@ -1,8 +1,14 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gpembed import expr
+from gpembed.dataset import from_arrays
+from gpembed.evolution import _crossover
 from gpembed.expr import (
     FLOAT_MAX,
     MAX_TREE_DEPTH,
@@ -106,6 +112,56 @@ class TestEval:
         got = eval_tree(tree, row)
         want = brute_eval(tree, row)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+
+class TestColumnReuse:
+    def test_tree_scored_on_two_datasets(self):
+        rng = np.random.default_rng(12)
+        first = from_arrays(rng.normal(size=(6, 2)))
+        second = from_arrays(rng.normal(size=(6, 2)))
+        ind = Individual(trees=(parse("(add f0 f1)"),))
+        for ds in (first, second, first):
+            want = ds.instances[:, 0] + ds.instances[:, 1]
+            assert eval_individual(ind, ds)[:, 0].tolist() == want.tolist()
+
+    def test_plain_array_leaves_the_cache_untouched(self):
+        tree = parse("(mul f0 f1)")
+        eval_individual(Individual(trees=(tree,)), np.ones((3, 2)))
+        assert tree.column_memo is None
+
+    def test_crossover_child_evaluates_one_tree(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        ds = from_arrays(rng.normal(size=(10, 4)))
+        parent = Individual(trees=tuple(random_tree(4, 2, 4, "grow", rng) for _ in range(3)))
+        other = Individual(trees=tuple(random_tree(4, 2, 4, "grow", rng) for _ in range(3)))
+        calls = []
+        real = expr.eval_tree_matrix
+        monkeypatch.setattr(expr, "eval_tree_matrix", lambda t, X: calls.append(t) or real(t, X))
+        parent_columns = eval_individual(parent, ds)
+        assert len(calls) == 3
+        child = _crossover(parent, other, rng)
+        child_columns = eval_individual(child, ds)
+        assert len(calls) == 4
+        (i,) = [k for k in range(3) if child.trees[k] is not parent.trees[k]]
+        assert calls[-1] is child.trees[i]
+        kept = [k for k in range(3) if k != i]
+        assert np.array_equal(child_columns[:, kept], parent_columns[:, kept])
+
+    def test_threads_sharing_trees_get_fresh_columns(self):
+        rng = np.random.default_rng(14)
+        datasets = [from_arrays(rng.normal(size=(20, 4))) for _ in range(2)]
+        pool = [random_tree(4, 2, 5, "grow", rng) for _ in range(6)]
+        jobs = [(Individual(trees=tuple(pool[k] for k in rng.choice(6, size=3))), ds)
+                for _ in range(200) for ds in datasets]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as executor:
+                got = list(executor.map(lambda job: eval_individual(*job), jobs))
+        finally:
+            sys.setswitchinterval(interval)
+        for (ind, ds), columns in zip(jobs, got):
+            assert np.array_equal(columns, eval_individual(ind, ds.instances))
 
 
 class TestRandomTree:

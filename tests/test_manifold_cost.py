@@ -5,10 +5,17 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import small_config
-from gpembed.dataset import from_arrays
+from gpembed.dataset import from_arrays, sq_distances
 from gpembed.evolution import initialise
-from gpembed.expr import Individual, parse
-from gpembed.manifold_cost import _row_ranks, cost, embedding_cost, fractional_ranks, spearman
+from gpembed.expr import FLOAT_MAX, Individual, parse
+from gpembed.manifold_cost import (
+    _rank_correlations,
+    _row_correlations,
+    cost,
+    embedding_cost,
+    fractional_ranks,
+    spearman,
+)
 from oracles import (
     brute_embedding_cost,
     brute_fractional_ranks,
@@ -72,22 +79,83 @@ class TestFractionalRanks:
         assert got.tolist() == brute_fractional_ranks(values)
 
 
-class TestRowRanks:
+def reference_cost(embedding, order):
+    """`embedding_cost` through `fractional_ranks` for every row."""
+    width = order.shape[1]
+    d2 = sq_distances(embedding, embedding, order)
+    rho = _row_correlations(fractional_ranks(d2), np.arange(1.0, width + 1.0))
+    return float(np.mean((1.0 - rho) / 2.0))
+
+
+def shuffled_order(n, width, seed):
+    """Each row lists `width` of the other points in a random order."""
+    rng = np.random.default_rng(seed)
+    rows = [rng.permutation(np.delete(np.arange(n), i))[:width] for i in range(n)]
+    return np.array(rows, dtype=np.int64)
+
+
+EPS = np.finfo(np.float64).eps
+# small integers give exact ties; scaled by a few ulps, their squared
+# distances share high key bits without a tie
+NEAR_TIES = st.tuples(st.integers(0, 3), st.integers(-6, 6)).map(
+    lambda p: p[0] * (1.0 + p[1] * EPS)
+)
+# +-FLOAT_MAX coordinates give infinite distances
+MIXED = st.one_of(NEAR_TIES, st.sampled_from([FLOAT_MAX, -FLOAT_MAX]), st.floats(-10.0, 10.0))
+
+
+def embeddings(width, coordinates):
+    """(width + 1) x t embeddings, so each point ranks every other one."""
+    return arrays(np.float64, st.tuples(st.just(width + 1), st.integers(1, 3)),
+                  elements=coordinates)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestRankKernel:
     @settings(max_examples=200, deadline=None)
     @given(
-        arrays(
-            np.float64,
-            st.tuples(st.integers(1, 6), st.integers(2, 25)),
-            elements=st.one_of(st.integers(0, 3).map(float), st.floats(0.0, 1e6)),
-        )
+        st.tuples(st.sampled_from([2, 3, 5, 17, 129]), st.sampled_from([NEAR_TIES, MIXED]))
+        .flatmap(lambda p: st.tuples(embeddings(*p), st.integers(0, 2**32 - 1)))
     )
-    def test_equals_fractional_ranks(self, values):
-        # rows mix small integers (ties) with continuous values (mostly untied)
-        assert np.array_equal(_row_ranks(values), fractional_ranks(values))
+    def test_equals_reference_path(self, case):
+        embedding, seed = case
+        n = embedding.shape[0]
+        order = shuffled_order(n, n - 1, seed)
+        assert embedding_cost(embedding, order) == reference_cost(embedding, order)
 
-    def test_untied_rows_are_exact_integers(self):
-        values = np.array([[0.3, 0.1, 0.2], [5.0, 5.0, 1.0]])
-        assert _row_ranks(values).tolist() == [[3.0, 1.0, 2.0], [2.5, 2.5, 1.0]]
+    @pytest.mark.parametrize("width", [2, 3, 5, 17, 129])
+    def test_near_ties_without_a_tie(self, width):
+        # from point 0, the squared distances (1 + k eps)^2 are all distinct
+        # but a few ulps apart, so above width 2 their keys share high bits
+        x = np.concatenate([[0.0], 1.0 + np.arange(width) * EPS])
+        d2 = (x[1:] - x[0]) ** 2
+        assert np.unique(d2).size == width
+        embedding = x[:, None]
+        order = shuffled_order(width + 1, width, width)
+        assert embedding_cost(embedding, order) == reference_cost(embedding, order)
+
+    def test_sign_bits_and_nan_fall_back(self):
+        # never produced by a sum of squares, but the kernel must not misrank
+        # them: negative values, -0.0 and NaN payloads go through the reference
+        nan_lo = np.array(0x7FF0000000001000, dtype=np.int64).view(np.float64)
+        rows = np.array([
+            [-3.0, -1.0, -2.0, -0.5],
+            [0.0, -0.0, 1.0, 2.0],
+            [np.nan, 1.0, nan_lo, 2.0],
+            [-np.nan, 1.0, 3.0, 2.0],
+            [4.0, 1.0, 3.0, 2.0],
+        ])
+        ident = np.arange(1.0, 5.0)
+        want = _row_correlations(fractional_ranks(rows), ident)
+        assert np.array_equal(_rank_correlations(rows), want)
+
+    def test_against_bruteforce(self):
+        rng = np.random.default_rng(5)
+        embedding = rng.normal(size=(40, 2))
+        order = shuffled_order(40, 17, 6)
+        got = embedding_cost(embedding, order)
+        want = brute_embedding_cost(embedding.tolist(), order.tolist())
+        assert abs(got - want) <= 1e-12
 
 
 class TestCost:
