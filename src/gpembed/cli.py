@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 from . import evolution, harness
 from .complexity import CostClass, CostModel, baseline_complexity, complexity_report
-from .dataset import DatasetError, load_csv
+from .dataset import Dataset, DatasetError, load_csv
 from .expr import OPERATORS, Individual, TreeParseError, eval_individual, max_feature_index, parse
 
 
@@ -22,15 +22,17 @@ class ConfigError(ValueError):
 
 
 class Setting(NamedTuple):
-    """One config key: its type, its default (None = unset) and, when a flag
-    sets it too, the flag's argparse dest (the flag is `--dest` with dashes),
-    the subcommands that take the flag, and its help text."""
+    """One config key: its type, its default (None = unset), when a flag sets
+    it too the flag's argparse dest (the flag is `--dest` with dashes), the
+    subcommands that take the flag and its help text, and for an `evo.*` or
+    `cost.*` key the `EvolutionConfig` or `CostModel` keyword it fills."""
 
     kind: type
     default: object = None
     dest: str | None = None
     commands: tuple[str, ...] = ()
     help: str | None = None
+    field: str | None = None
 
 
 _RUN = ("run",)
@@ -42,20 +44,26 @@ CONFIG_SCHEMA: dict[str, Setting] = {
     "data.path": Setting(str, None, "data", _DATA, "dataset CSV path"),
     "data.label_col": Setting(str, None, "label_col", _DATA, "name of the label column"),
     "cost.max_neighbours": Setting(int, None, "max_neighbours", _DATA, "neighbours ranked per row"),
-    "cost.mu": Setting(float, 0.75, "mu", _ALL, "scaling threshold"),
-    "cost.size_max": Setting(int, 100, "size_max", _ALL, "scaling reference size"),
-    "cost.leaf": Setting(float, 1.0, "leaf", _ALL, "leaf complexity weight"),
+    "cost.mu": Setting(float, 0.75, "mu", _ALL, "scaling threshold", "mu"),
+    "cost.size_max": Setting(int, 100, "size_max", _ALL, "scaling reference size", "size_max"),
+    "cost.leaf": Setting(float, 1.0, "leaf", _ALL, "leaf complexity weight", "leaf_complexity"),
     "out.dir": Setting(str, "out", "out", _RUN, "output directory (default: out)"),
-    "evo.seed": Setting(int, 0, "seed", _RUN, "run seed"),
-    "evo.generations": Setting(int, 1000, "generations", _RUN, "number of generations"),
-    "evo.population": Setting(int, 100, "population", _RUN, "population size"),
-    "evo.threads": Setting(int, 1, "threads", _RUN, "threads evaluating offspring"),
-    "evo.p_xover": Setting(float, 0.70, "p_xover", _RUN, "crossover probability"),
-    "evo.p_mut": Setting(float, 0.15, "p_mut", _RUN, "subtree mutation probability"),
-    "evo.p_tree_mut": Setting(float, 0.15, "p_tree_mut", _RUN, "add/remove-tree probability"),
-    "evo.min_depth": Setting(int, 2, "min_depth", _RUN, "minimum tree depth"),
-    "evo.max_depth": Setting(int, 14, "max_depth", _RUN, "maximum tree depth"),
-    "evo.neighbourhood": Setting(int, 15, "neighbourhood", _RUN, "mating neighbourhood size"),
+    "evo.seed": Setting(int, 0, "seed", _RUN, "run seed", "seed"),
+    "evo.generations": Setting(int, 1000, "generations", _RUN, "number of generations",
+                               "generations"),
+    "evo.population": Setting(int, 100, "population", _RUN, "population size",
+                              "population_size"),
+    "evo.threads": Setting(int, 1, "threads", _RUN, "threads evaluating offspring", "threads"),
+    "evo.p_xover": Setting(float, 0.70, "p_xover", _RUN, "crossover probability",
+                           "p_crossover"),
+    "evo.p_mut": Setting(float, 0.15, "p_mut", _RUN, "subtree mutation probability",
+                         "p_standard_mutation"),
+    "evo.p_tree_mut": Setting(float, 0.15, "p_tree_mut", _RUN, "add/remove-tree probability",
+                              "p_tree_mutation"),
+    "evo.min_depth": Setting(int, 2, "min_depth", _RUN, "minimum tree depth", "min_depth"),
+    "evo.max_depth": Setting(int, 14, "max_depth", _RUN, "maximum tree depth", "max_depth"),
+    "evo.neighbourhood": Setting(int, 15, "neighbourhood", _RUN, "mating neighbourhood size",
+                                 "moead_neighbourhood"),
     "eval.k": Setting(int, 5, "k", _RUN, "KNN neighbours for evaluation"),
     "eval.folds": Setting(int, 10, "folds", _RUN, "cross-validation folds"),
     **{f"cost.{op}": Setting(str) for op in OPERATORS},
@@ -120,39 +128,30 @@ def resolve_config(args: argparse.Namespace) -> dict[str, object]:
     return values
 
 
+def _fields(values: dict[str, object], section: str) -> dict[str, object]:
+    """The keywords that the `<section>.*` keys fill, with their values."""
+    return {
+        setting.field: values[key]
+        for key, setting in CONFIG_SCHEMA.items()
+        if setting.field and key.startswith(section + ".")
+    }
+
+
 def build_cost_model(values: dict[str, object]) -> CostModel:
-    overrides = {}
-    for op in OPERATORS:
-        assigned = values.get(f"cost.{op}")
-        if assigned is not None:
-            try:
-                overrides[op] = CostClass.from_string(str(assigned))
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
     try:
-        model = CostModel(
-            mu=float(values["cost.mu"]),
-            size_max=int(values["cost.size_max"]),
-            leaf_complexity=float(values["cost.leaf"]),
-        )
+        overrides = {
+            op: CostClass.from_string(values[f"cost.{op}"])
+            for op in OPERATORS
+            if values[f"cost.{op}"] is not None
+        }
+        model = CostModel(**_fields(values, "cost"))
         return model.with_overrides(overrides) if overrides else model
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
 def build_evolution_config(values: dict[str, object]) -> evolution.EvolutionConfig:
-    config = evolution.EvolutionConfig(
-        generations=int(values["evo.generations"]),
-        population_size=int(values["evo.population"]),
-        p_crossover=float(values["evo.p_xover"]),
-        p_standard_mutation=float(values["evo.p_mut"]),
-        p_tree_mutation=float(values["evo.p_tree_mut"]),
-        min_depth=int(values["evo.min_depth"]),
-        max_depth=int(values["evo.max_depth"]),
-        moead_neighbourhood=int(values["evo.neighbourhood"]),
-        seed=int(values["evo.seed"]),
-        threads=int(values["evo.threads"]),
-    )
+    config = evolution.EvolutionConfig(**_fields(values, "evo"))
     try:
         config.validate()
     except ValueError as exc:
@@ -196,33 +195,38 @@ def _load_trees(path) -> Individual:
     return Individual(trees=trees)
 
 
-def cmd_run(args) -> int:
-    values = resolve_config(args)
-    if not values.get("data.path"):
+def _load_dataset(values: dict[str, object]) -> Dataset:
+    if not values["data.path"]:
         raise ConfigError("a dataset is required (--data or data.path)")
-    cost_model = build_cost_model(values)
-    config = build_evolution_config(values)
-    resolved_text(values)  # refuse what config.resolved could not replay before any file I/O
-    dataset = load_csv(
+    return load_csv(
         values["data.path"],
-        label_column=values.get("data.label_col"),
-        max_neighbours=values.get("cost.max_neighbours"),
+        label_column=values["data.label_col"],
+        max_neighbours=values["cost.max_neighbours"],
     )
 
-    out_dir = str(values["out.dir"])
+
+def cmd_run(args) -> int:
+    values = resolve_config(args)
+    cost_model = build_cost_model(values)
+    config = build_evolution_config(values)
+    k, folds = values["eval.k"], values["eval.folds"]
+    if k < 1:
+        raise ConfigError(f"eval.k (--k) must be >= 1, got {k}")
+    if folds < 2:
+        raise ConfigError(f"eval.folds (--folds) must be >= 2, got {folds}")
+    resolved_text(values)  # refuse what config.resolved could not replay before any file I/O
+    dataset = _load_dataset(values)
+    if dataset.labels is not None and folds > dataset.n_instances:
+        raise ConfigError(
+            f"eval.folds (--folds) = {folds} exceeds the {dataset.n_instances} instances"
+        )
+
+    out_dir = values["out.dir"]
     os.makedirs(out_dir, exist_ok=True)
     write_resolved(values, os.path.join(out_dir, "config.resolved"))
 
     result = evolution.run(dataset, config, cost_model=cost_model)
-    records = harness.report(
-        result,
-        dataset,
-        config,
-        out_dir,
-        k=int(values["eval.k"]),
-        folds=int(values["eval.folds"]),
-        model=cost_model,
-    )
+    records = harness.report(result, dataset, config, out_dir, k=k, folds=folds, model=cost_model)
 
     print(f"archive: {len(result.archive)} non-dominated individuals "
           f"({len(result.final_front)} in the final population front)")
@@ -257,14 +261,8 @@ def cmd_score(args) -> int:
 
 def cmd_embed(args) -> int:
     values = resolve_config(args)
-    if not values.get("data.path"):
-        raise ConfigError("a dataset is required (--data or data.path)")
     ind = _load_trees(args.tree_file)
-    dataset = load_csv(
-        values["data.path"],
-        label_column=values.get("data.label_col"),
-        max_neighbours=values.get("cost.max_neighbours"),
-    )
+    dataset = _load_dataset(values)
     for idx, tree in enumerate(ind.trees):
         top = max_feature_index(tree)
         if top >= dataset.n_features:

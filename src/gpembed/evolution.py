@@ -43,6 +43,15 @@ def derive_rng(seed: int, label: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, label)))
 
 
+# initial trees, added trees and mutation subtrees are at most this deep
+INIT_DEPTH_CAP = 6
+
+
+def max_trees(n_features: int) -> int:
+    """The most trees an individual may hold on a dataset of `n_features` features."""
+    return max(2, n_features // 2)
+
+
 @dataclass
 class EvolutionConfig:
     generations: int = 1000
@@ -52,8 +61,6 @@ class EvolutionConfig:
     p_tree_mutation: float = 0.15
     min_depth: int = 2
     max_depth: int = 14
-    init_depth_cap: int = 6
-    max_trees: int | None = None  # None: max(2, m // 2) for the dataset at hand
     moead_neighbourhood: int = 15
     seed: int = 0
     threads: int = 1
@@ -71,23 +78,16 @@ class EvolutionConfig:
             raise ValueError("moead_neighbourhood must be >= 2")
         if self.moead_neighbourhood > self.population_size:
             raise ValueError("moead_neighbourhood must not exceed population_size")
-        if not 1 <= self.min_depth <= self.max_depth <= MAX_TREE_DEPTH:
-            raise ValueError(f"need 1 <= min_depth <= max_depth <= {MAX_TREE_DEPTH}")
-        if not self.min_depth <= self.init_depth_cap <= self.max_depth:
-            raise ValueError("init_depth_cap must lie in [min_depth, max_depth]")
+        if not 1 <= self.min_depth <= INIT_DEPTH_CAP <= self.max_depth <= MAX_TREE_DEPTH:
+            raise ValueError(
+                f"need 1 <= min_depth <= {INIT_DEPTH_CAP} <= max_depth <= {MAX_TREE_DEPTH}"
+            )
         if self.generations < 0:
             raise ValueError("generations must be >= 0")
-        if self.max_trees is not None and self.max_trees < 2:
-            raise ValueError("max_trees must be >= 2")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative 64-bit integer")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
-
-    def resolved_max_trees(self, n_features: int) -> int:
-        if self.max_trees is not None:
-            return self.max_trees
-        return max(2, n_features // 2)
 
 
 @dataclass(frozen=True)
@@ -172,12 +172,11 @@ def initialise(config: EvolutionConfig, dataset: Dataset, rng: np.random.Generat
     """Ramped population: depths cycle over the ramp, grow and full alternate."""
     config.validate()
     m = dataset.n_features
-    max_trees = config.resolved_max_trees(m)
-    ramp = list(range(config.min_depth, config.init_depth_cap + 1))
+    ramp = list(range(config.min_depth, INIT_DEPTH_CAP + 1))
     population = []
     counter = 0
     for _ in range(config.population_size):
-        n_trees = int(rng.integers(2, max_trees + 1))
+        n_trees = int(rng.integers(2, max_trees(m) + 1))
         trees = []
         for _ in range(n_trees):
             depth = ramp[counter % len(ramp)]
@@ -188,8 +187,8 @@ def initialise(config: EvolutionConfig, dataset: Dataset, rng: np.random.Generat
     return population
 
 
-def _individual_valid(ind: Individual, config: EvolutionConfig, max_trees: int) -> bool:
-    if not 2 <= len(ind.trees) <= max_trees:
+def _individual_valid(ind: Individual, config: EvolutionConfig, tree_cap: int) -> bool:
+    if not 2 <= len(ind.trees) <= tree_cap:
         return False
     return all(config.min_depth <= t.depth <= config.max_depth for t in ind.trees)
 
@@ -211,7 +210,7 @@ def _standard_mutation(a: Individual, config, rng, n_features) -> Individual | N
     point = int(rng.integers(tree.size))
     at_depth = node_depth(tree, point)
     lo = config.min_depth if point == 0 else 0
-    hi = min(config.init_depth_cap, config.max_depth - at_depth)
+    hi = min(INIT_DEPTH_CAP, config.max_depth - at_depth)
     if hi < lo:
         return None
     target = int(rng.integers(lo, hi + 1))
@@ -220,9 +219,9 @@ def _standard_mutation(a: Individual, config, rng, n_features) -> Individual | N
     return Individual(trees=a.trees[:i] + (new_tree,) + a.trees[i + 1 :])
 
 
-def _tree_mutation(a: Individual, config, rng, n_features, max_trees) -> Individual | None:
+def _tree_mutation(a: Individual, config, rng, n_features, tree_cap) -> Individual | None:
     want_add = rng.random() < 0.5
-    can_add = len(a.trees) < max_trees
+    can_add = len(a.trees) < tree_cap
     can_remove = len(a.trees) > 2
     if want_add:
         action = "add" if can_add else ("remove" if can_remove else None)
@@ -231,7 +230,7 @@ def _tree_mutation(a: Individual, config, rng, n_features, max_trees) -> Individ
     if action is None:
         return None
     if action == "add":
-        depth = int(rng.integers(config.min_depth, config.init_depth_cap + 1))
+        depth = int(rng.integers(config.min_depth, INIT_DEPTH_CAP + 1))
         method = "full" if rng.random() < 0.5 else "grow"
         new_tree = random_tree(n_features, depth, depth, method, rng)
         return Individual(trees=a.trees + (new_tree,))
@@ -245,15 +244,13 @@ def vary(
     config: EvolutionConfig,
     rng: np.random.Generator,
     n_features: int,
-    max_trees: int | None = None,
 ) -> Individual:
     """One offspring via crossover / subtree mutation / add-remove-tree.
 
     Offspring violating the depth or tree-count bounds trigger a fresh
     attempt, up to 10; after that the offspring is a copy of parent_a.
     """
-    if max_trees is None:
-        max_trees = config.resolved_max_trees(n_features)
+    tree_cap = max_trees(n_features)
     for _ in range(10):
         u = rng.random()
         if u < config.p_crossover:
@@ -261,8 +258,8 @@ def vary(
         elif u < config.p_crossover + config.p_standard_mutation:
             child = _standard_mutation(parent_a, config, rng, n_features)
         else:
-            child = _tree_mutation(parent_a, config, rng, n_features, max_trees)
-        if child is not None and _individual_valid(child, config, max_trees):
+            child = _tree_mutation(parent_a, config, rng, n_features, tree_cap)
+        if child is not None and _individual_valid(child, config, tree_cap):
             return child
     return Individual(trees=parent_a.trees)
 
@@ -296,7 +293,6 @@ def run(
     """
     config.validate()
     m = dataset.n_features
-    max_trees = config.resolved_max_trees(m)
     pop_size = config.population_size
 
     def evaluate(ind: Individual) -> Individual:
@@ -354,7 +350,7 @@ def run(
                 nb = neighbourhoods[i]
                 pa = population[nb[int(rng_vary.integers(len(nb)))]]
                 pb = population[nb[int(rng_vary.integers(len(nb)))]]
-                children.append(vary(pa, pb, config, rng_vary, m, max_trees))
+                children.append(vary(pa, pb, config, rng_vary, m))
             evaluate_all(children)
 
             for i, child in enumerate(children):

@@ -85,6 +85,8 @@ def knn_cv_accuracy(
     E = np.asarray(embedding, dtype=np.float64)
     y = np.asarray(labels)
     n = E.shape[0]
+    if folds < 2:
+        raise ValueError(f"folds must be >= 2, got {folds}")
     if n < folds:
         raise ValueError(f"need at least {folds} instances for {folds}-fold CV, got {n}")
     if k < 1:

@@ -1,3 +1,4 @@
+import dataclasses
 import shutil
 
 import numpy as np
@@ -5,7 +6,10 @@ import pytest
 
 from conftest import make_clusters
 from gpembed.cli import (
+    CONFIG_SCHEMA,
     ConfigError,
+    build_cost_model,
+    build_evolution_config,
     build_parser,
     main,
     parse_config_file,
@@ -13,7 +17,9 @@ from gpembed.cli import (
     resolve_config,
     write_resolved,
 )
+from gpembed.complexity import DEFAULT_COST_MODEL
 from gpembed.dataset import load_csv
+from gpembed.evolution import EvolutionConfig
 from gpembed.manifold_cost import embedding_cost
 
 
@@ -96,6 +102,27 @@ class TestRunCommand:
         assert main(run_args(str(data), out)) == 1
         assert "cannot be replayed" in capsys.readouterr().err
         assert not out.exists()
+
+    # tiny_csv holds 20 labelled instances
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--k", "0", "eval.k (--k) must be >= 1"),
+        ("--folds", "0", "eval.folds (--folds) must be >= 2"),
+        ("--folds", "1", "eval.folds (--folds) must be >= 2"),
+        ("--folds", "21", "exceeds the 20 instances"),
+    ])
+    def test_bad_evaluation_settings_rejected_before_search(
+        self, tiny_csv, tmp_path, capsys, flag, value, message
+    ):
+        out = tmp_path / "out"
+        assert main(run_args(tiny_csv, out, extra=[flag, value])) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--max-depth", "4"), ("--min-depth", "7")])
+    def test_depth_range_error_names_settable_bounds(self, tiny_csv, tmp_path, capsys,
+                                                     flag, value):
+        assert main(run_args(tiny_csv, tmp_path / "o", extra=[flag, value])) == 1
+        assert "min_depth <= 6 <= max_depth" in capsys.readouterr().err
 
     def test_cost_set_flag(self, tiny_csv, tmp_path):
         out = tmp_path / "cs"
@@ -202,6 +229,47 @@ class TestConfigResolution:
                 if action.dest != "help"
             }
             assert flags == expected[command], command
+
+    def test_each_config_field_has_one_key(self):
+        owners = {"evo": EvolutionConfig(), "cost": DEFAULT_COST_MODEL}
+        wanted = {
+            "evo": sorted(f.name for f in dataclasses.fields(EvolutionConfig)),
+            "cost": ["leaf_complexity", "mu", "size_max"],
+        }
+        for section, fields in wanted.items():
+            settings = {
+                key: setting for key, setting in CONFIG_SCHEMA.items()
+                if setting.field and key.startswith(section + ".")
+            }
+            assert sorted(s.field for s in settings.values()) == fields
+            for key, setting in settings.items():
+                assert setting.default == getattr(owners[section], setting.field), key
+
+    def test_config_file_sets_every_field(self, tmp_path):
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text(
+            "evo.seed = 5\nevo.generations = 7\nevo.population = 12\nevo.threads = 2\n"
+            "evo.p_xover = 0.5\nevo.p_mut = 0.3\nevo.p_tree_mut = 0.2\n"
+            "evo.min_depth = 3\nevo.max_depth = 9\nevo.neighbourhood = 5\n"
+            "cost.mu = 0.5\ncost.size_max = 50\ncost.leaf = 2.0\n",
+            encoding="utf-8",
+        )
+        values = parse_config_file(cfg)
+        assert {key for key in values if key.startswith("evo.")} == {
+            key for key in CONFIG_SCHEMA if key.startswith("evo.")
+        }
+        values = resolve_config(build_parser().parse_args(["run", "--config", str(cfg)]))
+        config = build_evolution_config(values)
+        assert config == EvolutionConfig(
+            generations=7, population_size=12, p_crossover=0.5, p_standard_mutation=0.3,
+            p_tree_mutation=0.2, min_depth=3, max_depth=9, moead_neighbourhood=5, seed=5,
+            threads=2,
+        )
+        for f in dataclasses.fields(EvolutionConfig):
+            assert getattr(config, f.name) != f.default, f.name
+        model = build_cost_model(values)
+        assert (model.mu, model.size_max, model.leaf_complexity) == (0.5, 50, 2.0)
+        assert model.operator_costs == DEFAULT_COST_MODEL.operator_costs
 
     def test_parse_cost_set(self):
         assert parse_cost_set("mul=sum, relu=prod") == {"mul": "sum", "relu": "prod"}

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_clusters, small_config
 from gpembed.dataset import from_arrays
@@ -9,6 +11,7 @@ from gpembed.evolution import (
     FrontEntry,
     derive_rng,
     initialise,
+    max_trees,
     non_dominated,
     run,
     tchebycheff,
@@ -48,10 +51,9 @@ class TestConfig:
             EvolutionConfig(population_size=8, moead_neighbourhood=9).validate()
 
     def test_resolved_max_trees(self):
-        assert EvolutionConfig().resolved_max_trees(4) == 2
-        assert EvolutionConfig().resolved_max_trees(13) == 6
-        assert EvolutionConfig().resolved_max_trees(3) == 2
-        assert EvolutionConfig(max_trees=5).resolved_max_trees(100) == 5
+        assert max_trees(4) == 2
+        assert max_trees(13) == 6
+        assert max_trees(3) == 2
 
 
 class TestInitialise:
@@ -139,19 +141,36 @@ class TestArchive:
         kept = non_dominated(entries)
         assert {(e.cost, e.complexity) for e in kept} == {(0.5, 10.0), (0.4, 20.0), (0.45, 15.0)}
 
+    # small grids force duplicates, equal objectives with other trees, and ties on one objective
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.sampled_from("ab")),
+                    max_size=25))
+    def test_add_keeps_exactly_the_non_dominated_inserts(self, inserts):
+        inserted = [entry(float(c), float(x), tag) for c, x, tag in inserts]
+        archive = Archive()
+        for e in inserted:
+            archive.add(e)
+        kept = archive.entries
+        for a in kept:
+            assert not any(_dominates(b, a) for b in kept)
+        key = lambda e: (e.cost, e.complexity, e.sexprs)  # noqa: E731
+        assert len({key(e) for e in kept}) == len(kept)
+        assert {key(e) for e in kept} == {
+            key(e) for e in inserted if not any(_dominates(o, e) for o in inserted)
+        }
+
 
 class TestVary:
     def test_offspring_always_valid(self, small_dataset):
         config = small_config(population_size=8, seed=0)
         m = small_dataset.n_features
-        max_trees = config.resolved_max_trees(m)
         rng = derive_rng(0, 2)
         parents = initialise(config, small_dataset, derive_rng(0, 1))
         for i in range(10_000):
             pa = parents[i % len(parents)]
             pb = parents[(i * 7 + 3) % len(parents)]
-            child = vary(pa, pb, config, rng, m, max_trees)
-            assert 2 <= len(child.trees) <= max_trees
+            child = vary(pa, pb, config, rng, m)
+            assert 2 <= len(child.trees) <= max_trees(m)
             for tree in child.trees:
                 assert config.min_depth <= tree.depth <= config.max_depth
 
@@ -185,7 +204,7 @@ class TestVary:
         rng = derive_rng(3, 2)
         parents = initialise(small_config(population_size=6, seed=3), ds, derive_rng(3, 1))
         for i in range(100):
-            child = vary(parents[i % 6], parents[(i + 1) % 6], config, rng, 4, 2)
+            child = vary(parents[i % 6], parents[(i + 1) % 6], config, rng, 4)
             assert len(child.trees) == 2
 
     def test_tree_mutation_adds_and_removes(self, small_dataset):
@@ -194,13 +213,12 @@ class TestVary:
             population_size=6, seed=0,
         )
         m = small_dataset.n_features
-        max_trees = config.resolved_max_trees(m)
-        assert max_trees == 3
+        assert max_trees(m) == 3
         rng = derive_rng(4, 2)
         parents = initialise(small_config(population_size=6, seed=4), small_dataset, derive_rng(4, 1))
         sizes = set()
         for i in range(300):
-            child = vary(parents[i % 6], parents[(i + 1) % 6], config, rng, m, max_trees)
+            child = vary(parents[i % 6], parents[(i + 1) % 6], config, rng, m)
             sizes.add(len(child.trees))
         assert sizes == {2, 3}
 
@@ -266,9 +284,8 @@ class TestRun:
     def test_archive_individuals_respect_bounds(self, small_dataset):
         config = EvolutionConfig(generations=10, population_size=8, moead_neighbourhood=4, seed=6)
         result = run(small_dataset, config)
-        max_trees = config.resolved_max_trees(small_dataset.n_features)
         for entry_ in result.archive:
-            assert 2 <= len(entry_.individual.trees) <= max_trees
+            assert 2 <= len(entry_.individual.trees) <= max_trees(small_dataset.n_features)
             for tree in entry_.individual.trees:
                 assert config.min_depth <= tree.depth <= config.max_depth
 

@@ -65,6 +65,11 @@ class TestKnn:
         with pytest.raises(ValueError, match="10-fold"):
             knn_cv_accuracy(np.zeros((5, 2)), np.zeros(5, dtype=int), folds=10)
 
+    @pytest.mark.parametrize("folds", [0, 1])
+    def test_fewer_than_two_folds_rejected(self, folds):
+        with pytest.raises(ValueError, match="folds must be >= 2"):
+            knn_cv_accuracy(np.zeros((10, 2)), np.arange(10) % 2, folds=folds)
+
     def test_small_class_falls_back_with_warning(self):
         rng = np.random.default_rng(2)
         X = rng.normal(size=(30, 2))
