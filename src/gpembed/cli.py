@@ -8,11 +8,13 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from typing import NamedTuple
 
 from . import evolution, harness
-from .complexity import CostClass, CostModel, baseline_complexity, complexity_report
+from .complexity import (CostClass, CostModel, baseline_complexity, individual_complexity,
+                         tree_complexity)
 from .dataset import Dataset, DatasetError, load_csv
 from .expr import OPERATORS, Individual, TreeParseError, eval_individual, max_feature_index, parse
 
@@ -137,6 +139,15 @@ def _fields(values: dict[str, object], section: str) -> dict[str, object]:
     }
 
 
+def _named(exc: ValueError) -> ConfigError:
+    """`exc` naming each config field by its key and flag, e.g. "evo.population
+    (--population)"; a field followed by "<=" is part of a range that stays whole."""
+    names = {setting.field: f"{key} (--{setting.dest.replace('_', '-')})"
+             for key, setting in CONFIG_SCHEMA.items() if setting.field}
+    return ConfigError(re.sub(r"\b(" + "|".join(names) + r")\b(?! <=)",
+                              lambda m: names[m.group()], str(exc)))
+
+
 def build_cost_model(values: dict[str, object]) -> CostModel:
     try:
         overrides = {
@@ -147,7 +158,7 @@ def build_cost_model(values: dict[str, object]) -> CostModel:
         model = CostModel(**_fields(values, "cost"))
         return model.with_overrides(overrides) if overrides else model
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise _named(exc) from None
 
 
 def build_evolution_config(values: dict[str, object]) -> evolution.EvolutionConfig:
@@ -155,7 +166,7 @@ def build_evolution_config(values: dict[str, object]) -> evolution.EvolutionConf
     try:
         config.validate()
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise _named(exc) from None
     return config
 
 
@@ -232,10 +243,10 @@ def cmd_run(args) -> int:
           f"({len(result.final_front)} in the final population front)")
     print(f"{'id':>4} {'cost':>10} {'complexity':>12} {'trees':>5} {'nodes':>5} {'knn_acc':>8}")
     entries = harness.sorted_entries(result.archive)
-    for entry, rec in zip(entries, records):
+    for entry_id, (entry, rec) in enumerate(zip(entries, records)):
         acc = f"{rec.knn_acc_mean:.3f}" if rec.knn_acc_mean == rec.knn_acc_mean else "-"
         print(
-            f"{rec.entry_id:>4} {rec.cost:>10.4f} {rec.complexity:>12.2f} "
+            f"{entry_id:>4} {rec.cost:>10.4f} {rec.complexity:>12.2f} "
             f"{len(entry.individual.trees):>5} {rec.stats.n_nodes:>5} {acc:>8}"
         )
     print(f"reports written to {out_dir}")
@@ -246,8 +257,8 @@ def cmd_score(args) -> int:
     values = resolve_config(args)
     cost_model = build_cost_model(values)
     ind = _load_trees(args.tree_file)
-    rep = complexity_report(ind, cost_model)
-    for idx, (tree, tc) in enumerate(zip(ind.trees, rep.trees)):
+    for idx, tree in enumerate(ind.trees):
+        tc = tree_complexity(tree, cost_model)
         base = baseline_complexity(tree)
         print(f"tree {idx}: F(T) = {tc.value}")
         print(f"  nodes = {tc.node_count}  scaling = {tc.scaling}  "
@@ -255,7 +266,7 @@ def cmd_score(args) -> int:
         for contrib in tc.contributions:
             print(f"    {contrib.op}: formula {contrib.formula_value}, "
                   f"asymmetry {contrib.asymmetry}")
-    print(f"individual complexity = {rep.total}")
+    print(f"individual complexity = {individual_complexity(ind, cost_model)}")
     return 0
 
 

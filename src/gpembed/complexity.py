@@ -23,14 +23,13 @@ to the power of their first child's value.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
-from .expr import OPERATOR_TABLE, Individual, Node
+from .expr import FLOAT_MAX, OPERATOR_TABLE, Individual, Node
 
 EXP_CAP_BITS = 64.0
 _BASELINE_EXP_LIMIT = 1023.0
-_FLOAT_MAX = 1.7976931348623157e308
 
 
 class CostClass(Enum):
@@ -69,8 +68,8 @@ class CostModel:
             raise ValueError(f"mu must be in (0, 1], got {self.mu}")
         if self.size_max < 1:
             raise ValueError(f"size_max must be >= 1, got {self.size_max}")
-        if self.leaf_complexity <= 0.0:
-            raise ValueError(f"leaf_complexity must be > 0, got {self.leaf_complexity}")
+        if not 0.0 < self.leaf_complexity <= FLOAT_MAX:
+            raise ValueError(f"leaf_complexity must be > 0 and finite, got {self.leaf_complexity}")
         for op, cls in self.operator_costs.items():
             if op not in OPERATOR_TABLE:
                 raise ValueError(f"cost assigned to unknown operator {op!r}")
@@ -78,14 +77,7 @@ class CostModel:
                 raise ValueError(f"cost for {op!r} must be a CostClass, got {cls!r}")
 
     def with_overrides(self, overrides: dict[str, CostClass]) -> "CostModel":
-        costs = dict(self.operator_costs)
-        costs.update(overrides)
-        return CostModel(
-            operator_costs=costs,
-            mu=self.mu,
-            size_max=self.size_max,
-            leaf_complexity=self.leaf_complexity,
-        )
+        return replace(self, operator_costs={**self.operator_costs, **overrides})
 
 
 DEFAULT_COST_MODEL = CostModel()
@@ -107,15 +99,6 @@ class TreeComplexity:
     asymmetry_total: float
     scaling: float
     contributions: tuple[NodeContribution, ...]
-
-
-@dataclass(frozen=True)
-class ComplexityReport:
-    trees: tuple[TreeComplexity, ...]
-
-    @property
-    def total(self) -> float:
-        return sum(t.value for t in self.trees)
 
 
 def asymmetry_penalty(size_left: int, size_right: int) -> float:
@@ -195,10 +178,6 @@ def _tree_value(tree: Node, model: CostModel) -> float:
     return memo[1]
 
 
-def complexity_report(ind: Individual, model: CostModel = DEFAULT_COST_MODEL) -> ComplexityReport:
-    return ComplexityReport(trees=tuple(tree_complexity(t, model) for t in ind.trees))
-
-
 def baseline_complexity(tree: Node) -> float:
     """Legacy recursive metric used for side-by-side comparison.
 
@@ -213,9 +192,9 @@ def baseline_complexity(tree: Node) -> float:
     if cost_class is CostClass.PROD:
         prod = 1.0
         for c in children:
-            prod = min(prod * c, _FLOAT_MAX)
-        return min(prod + 1.0, _FLOAT_MAX)
+            prod = min(prod * c, FLOAT_MAX)
+        return min(prod + 1.0, FLOAT_MAX)
     exponent = children[0]
     if exponent > _BASELINE_EXP_LIMIT:
-        return _FLOAT_MAX
+        return FLOAT_MAX
     return 2.0**exponent

@@ -248,47 +248,41 @@ def _generate(depth, target, depth_min, method, n_features, rng) -> Node:
 # ---------------------------------------------------------------------------
 # structural surgery (preorder indexing)
 
+def _path(tree: Node, index: int) -> tuple[list[tuple[Node, int]], Node]:
+    """The (ancestor, child slot) steps from the root down to the node at
+    preorder position `index` (root is 0), and that node."""
+    if not 0 <= index < tree.size:
+        raise IndexError(f"node index {index} out of range for tree of size {tree.size}")
+    steps = []
+    node = tree
+    while index:
+        index -= 1  # step past `node` itself
+        slot = 0
+        while index >= node.children[slot].size:
+            index -= node.children[slot].size
+            slot += 1
+        steps.append((node, slot))
+        node = node.children[slot]
+    return steps, node
+
+
 def get_subtree(tree: Node, index: int) -> Node:
     """Subtree rooted at preorder position `index` (root is 0)."""
-    if index == 0:
-        return tree
-    offset = 1
-    for child in tree.children:
-        if index < offset + child.size:
-            return get_subtree(child, index - offset)
-        offset += child.size
-    raise IndexError(f"node index {index} out of range for tree of size {tree.size}")
+    return _path(tree, index)[1]
 
 
 def replace_subtree(tree: Node, index: int, replacement: Node) -> Node:
     """New tree with the subtree at preorder position `index` replaced."""
-    if index == 0:
-        return replacement
-    offset = 1
-    new_children = []
-    replaced = False
-    for child in tree.children:
-        if not replaced and offset <= index < offset + child.size:
-            new_children.append(replace_subtree(child, index - offset, replacement))
-            replaced = True
-        else:
-            new_children.append(child)
-        offset += child.size
-    if not replaced:
-        raise IndexError(f"node index {index} out of range for tree of size {tree.size}")
-    return Node(tree.op, tree.feature, tuple(new_children))
+    for parent, slot in reversed(_path(tree, index)[0]):
+        children = parent.children
+        replacement = Node(parent.op, parent.feature,
+                           children[:slot] + (replacement,) + children[slot + 1:])
+    return replacement
 
 
 def node_depth(tree: Node, index: int) -> int:
     """Depth (edges from the root) of the node at preorder position `index`."""
-    if index == 0:
-        return 0
-    offset = 1
-    for child in tree.children:
-        if index < offset + child.size:
-            return 1 + node_depth(child, index - offset)
-        offset += child.size
-    raise IndexError(f"node index {index} out of range for tree of size {tree.size}")
+    return len(_path(tree, index)[0])
 
 
 # ---------------------------------------------------------------------------

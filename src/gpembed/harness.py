@@ -8,25 +8,20 @@ from __future__ import annotations
 
 import os
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .complexity import CostClass, CostModel, DEFAULT_COST_MODEL, baseline_complexity
 from .dataset import Dataset, nearest_mask, sq_distances
-from .evolution import (
-    LABEL_FOLDS,
-    EvolutionConfig,
-    FrontEntry,
-    RunResult,
-    derive_rng,
-)
-from .expr import Individual, Node, eval_individual, to_dot
+from .evolution import LABEL_FOLDS, EvolutionConfig, FrontEntry, RunResult, derive_rng
+from .expr import Individual, eval_individual, to_dot
 
 
 @dataclass(frozen=True)
 class SummaryStats:
-    """Node census of an individual, by cost class."""
+    """Node census of an individual, by cost class.  The field order is the
+    order of the census columns in front.csv and summary.csv."""
 
     n_nodes: int
     n_exp: int
@@ -38,7 +33,6 @@ class SummaryStats:
 
 @dataclass(frozen=True)
 class EvalRecord:
-    entry_id: int
     cost: float
     complexity: float
     knn_acc_mean: float
@@ -110,41 +104,27 @@ def knn_cv_accuracy(
 
 
 def summary_stats(ind: Individual, model: CostModel = DEFAULT_COST_MODEL) -> SummaryStats:
-    n_exp = n_prod = n_sum = n_leaf = 0
-    features: set[int] = set()
-
-    def walk(node: Node):
-        nonlocal n_exp, n_prod, n_sum, n_leaf
+    counts = dict.fromkeys(CostClass, 0)
+    features: list[int] = []
+    stack = list(ind.trees)
+    while stack:
+        node = stack.pop()
         if node.op is None:
-            n_leaf += 1
-            features.add(node.feature)
-            return
+            features.append(node.feature)
+            continue
         cls = model.operator_costs.get(node.op)
         if cls is None:
             raise ValueError(f"operator {node.op!r} has no cost class in the cost model")
-        if cls is CostClass.EXP:
-            n_exp += 1
-        elif cls is CostClass.PROD:
-            n_prod += 1
-        else:
-            n_sum += 1
-        for child in node.children:
-            walk(child)
-
-    for tree in ind.trees:
-        walk(tree)
+        counts[cls] += 1
+        stack.extend(node.children)
     return SummaryStats(
-        n_nodes=n_exp + n_prod + n_sum + n_leaf,
-        n_exp=n_exp,
-        n_prod=n_prod,
-        n_sum=n_sum,
-        n_leaf=n_leaf,
-        n_unique_features=len(features),
+        n_nodes=sum(counts.values()) + len(features),
+        n_exp=counts[CostClass.EXP],
+        n_prod=counts[CostClass.PROD],
+        n_sum=counts[CostClass.SUM],
+        n_leaf=len(features),
+        n_unique_features=len(set(features)),
     )
-
-
-def _fmt(value: float) -> str:
-    return repr(float(value))
 
 
 FRONT_COLUMNS = (
@@ -157,30 +137,23 @@ def sorted_entries(entries: list[FrontEntry]) -> list[FrontEntry]:
     return sorted(entries, key=lambda e: (e.complexity, e.cost, e.sexprs))
 
 
-def _write_front_csv(path, entries, records):
+def _write_csv(path, header: str, rows) -> None:
+    """`header`, then one comma-joined line per row; floats are written with
+    `repr`, so they read back exactly."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(FRONT_COLUMNS + "\n")
-        for entry, rec in zip(entries, records):
-            stats = rec.stats
-            fh.write(
-                ",".join(
-                    [
-                        str(rec.entry_id),
-                        _fmt(rec.cost),
-                        _fmt(rec.complexity),
-                        str(len(entry.individual.trees)),
-                        str(stats.n_nodes),
-                        str(stats.n_exp),
-                        str(stats.n_prod),
-                        str(stats.n_sum),
-                        str(stats.n_leaf),
-                        str(stats.n_unique_features),
-                        _fmt(rec.knn_acc_mean),
-                        _fmt(rec.knn_acc_std),
-                    ]
-                )
-                + "\n"
-            )
+        fh.write(header + "\n")
+        for row in rows:
+            fields = (repr(float(v)) if isinstance(v, float) else str(v) for v in row)
+            fh.write(",".join(fields) + "\n")
+
+
+def _front_rows(entries: list[FrontEntry], records: list[EvalRecord]):
+    """front.csv rows, in FRONT_COLUMNS order."""
+    return [
+        (entry_id, rec.cost, rec.complexity, len(entry.individual.trees),
+         *astuple(rec.stats), rec.knn_acc_mean, rec.knn_acc_std)
+        for entry_id, (entry, rec) in enumerate(zip(entries, records))
+    ]
 
 
 def evaluate_entries(
@@ -190,16 +163,13 @@ def evaluate_entries(
     k: int = 5,
     folds: int = 10,
     model: CostModel = DEFAULT_COST_MODEL,
-    known: dict[tuple[str, ...], EvalRecord] | None = None,
 ) -> list[EvalRecord]:
     """EvalRecord per entry; the same seeded folds are reused for every entry
-    so accuracies are comparable across the front.  An entry whose trees are a
-    key of `known` reuses that record under its own id; `known` must come from
-    the same dataset, seed, k, folds and model."""
-    records = []
-    for entry_id, entry in enumerate(entries):
-        if known and entry.sexprs in known:
-            records.append(replace(known[entry.sexprs], entry_id=entry_id))
+    so accuracies are comparable across the front, and a genotype that
+    repeats in `entries` is scored once."""
+    scored: dict[tuple[str, ...], EvalRecord] = {}
+    for entry in entries:
+        if entry.sexprs in scored:
             continue
         if dataset.labels is not None:
             embedding = eval_individual(entry.individual, dataset)
@@ -208,17 +178,9 @@ def evaluate_entries(
             )
         else:
             acc_mean = acc_std = float("nan")
-        records.append(
-            EvalRecord(
-                entry_id=entry_id,
-                cost=entry.cost,
-                complexity=entry.complexity,
-                knn_acc_mean=acc_mean,
-                knn_acc_std=acc_std,
-                stats=summary_stats(entry.individual, model),
-            )
-        )
-    return records
+        scored[entry.sexprs] = EvalRecord(entry.cost, entry.complexity, acc_mean, acc_std,
+                                          summary_stats(entry.individual, model))
+    return [scored[entry.sexprs] for entry in entries]
 
 
 def report(
@@ -232,52 +194,40 @@ def report(
 ) -> list[EvalRecord]:
     """Write front.csv, final_front.csv, summary.csv, telemetry.csv,
     baseline.csv, and per-individual tree files under `out_dir`."""
-    os.makedirs(out_dir, exist_ok=True)
     trees_dir = os.path.join(out_dir, "trees")
     os.makedirs(trees_dir, exist_ok=True)
 
     entries = sorted_entries(result.archive)
-    records = evaluate_entries(entries, dataset, config.seed, k=k, folds=folds, model=model)
-    _write_front_csv(os.path.join(out_dir, "front.csv"), entries, records)
-
     final_entries = sorted_entries(result.final_front)
-    final_records = evaluate_entries(
-        final_entries, dataset, config.seed, k=k, folds=folds, model=model,
-        known={entry.sexprs: rec for entry, rec in zip(entries, records)},
+    records = evaluate_entries(
+        entries + final_entries, dataset, config.seed, k=k, folds=folds, model=model
     )
-    _write_front_csv(os.path.join(out_dir, "final_front.csv"), final_entries, final_records)
-
-    with open(os.path.join(out_dir, "summary.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("id,n_nodes,n_exp,n_prod,n_sum,n_leaf,n_unique_feat,baseline_complexity\n")
-        for entry, rec in zip(entries, records):
-            stats = rec.stats
-            baseline = sum(baseline_complexity(t) for t in entry.individual.trees)
-            fh.write(
-                f"{rec.entry_id},{stats.n_nodes},{stats.n_exp},{stats.n_prod},"
-                f"{stats.n_sum},{stats.n_leaf},{stats.n_unique_features},{_fmt(baseline)}\n"
-            )
-
-    with open(os.path.join(out_dir, "telemetry.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("generation,min_cost,min_complexity,archive_size\n")
-        for row in result.telemetry:
-            fh.write(
-                f"{row.generation},{_fmt(row.min_cost)},{_fmt(row.min_complexity)},"
-                f"{row.archive_size}\n"
-            )
-
-    with open(os.path.join(out_dir, "baseline.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("knn_acc_mean,knn_acc_std\n")
-        if dataset.labels is not None:
-            base_mean, base_std = knn_cv_accuracy(
-                dataset.instances, dataset.labels, k=k, folds=folds,
-                rng=derive_rng(config.seed, LABEL_FOLDS),
-            )
-            fh.write(f"{_fmt(base_mean)},{_fmt(base_std)}\n")
+    records, final_records = records[:len(entries)], records[len(entries):]
+    _write_csv(os.path.join(out_dir, "front.csv"), FRONT_COLUMNS, _front_rows(entries, records))
+    _write_csv(os.path.join(out_dir, "final_front.csv"), FRONT_COLUMNS,
+               _front_rows(final_entries, final_records))
+    _write_csv(
+        os.path.join(out_dir, "summary.csv"),
+        "id,n_nodes,n_exp,n_prod,n_sum,n_leaf,n_unique_feat,baseline_complexity",
+        [
+            (entry_id, *astuple(rec.stats),
+             sum(baseline_complexity(t) for t in entry.individual.trees))
+            for entry_id, (entry, rec) in enumerate(zip(entries, records))
+        ],
+    )
+    _write_csv(os.path.join(out_dir, "telemetry.csv"),
+               "generation,min_cost,min_complexity,archive_size", map(astuple, result.telemetry))
+    baseline = []
+    if dataset.labels is not None:
+        baseline.append(knn_cv_accuracy(
+            dataset.instances, dataset.labels, k=k, folds=folds,
+            rng=derive_rng(config.seed, LABEL_FOLDS),
+        ))
+    _write_csv(os.path.join(out_dir, "baseline.csv"), "knn_acc_mean,knn_acc_std", baseline)
 
     for entry_id, entry in enumerate(entries):
         with open(os.path.join(trees_dir, f"{entry_id}.sexp"), "w", encoding="utf-8") as fh:
-            for line in entry.sexprs:
-                fh.write(line + "\n")
+            fh.write("".join(line + "\n" for line in entry.sexprs))
         with open(os.path.join(trees_dir, f"{entry_id}.dot"), "w", encoding="utf-8") as fh:
             fh.write(to_dot(entry.individual, feature_names=dataset.feature_names))
 

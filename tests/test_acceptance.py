@@ -20,7 +20,9 @@ from gpembed.dataset import from_arrays, load_csv
 from gpembed.evolution import EvolutionConfig, derive_rng, initialise, run
 from gpembed.expr import Individual, eval_individual, parse
 from gpembed.harness import evaluate_entries, knn_cv_accuracy
-from gpembed.manifold_cost import cost, embedding_cost, fractional_ranks, spearman
+from gpembed.manifold_cost import (
+    _rank_correlations, cost, embedding_cost, fractional_ranks, spearman,
+)
 from oracles import brute_spearman, brute_tree_complexity
 from test_complexity import HAND_WRITTEN_TREES
 
@@ -84,6 +86,7 @@ def test_criterion_3_cost_bounds_and_invariances():
 
 def test_criterion_4_spearman_oracle():
     rng = np.random.default_rng(404)
+    untied_rng = np.random.default_rng(405)
     ok = True
     for _ in range(1000):
         length = int(rng.integers(2, 40))
@@ -91,8 +94,15 @@ def test_criterion_4_spearman_oracle():
         b = rng.integers(0, 6, size=length).astype(float)
         got = spearman(fractional_ranks(a), fractional_ranks(b))
         ok = ok and abs(got - brute_spearman(a, b)) <= 1e-12
+        # the cost's own kernel against the identity ranking: integer rows
+        # (ties, so the fractional_ranks fallback) and untied rows (key sort)
+        ident = np.arange(1.0, length + 1.0)
+        for row in (a, untied_rng.random(length)):
+            got = _rank_correlations(row[None])[0]
+            ok = ok and abs(got - brute_spearman(row, ident)) <= 1e-12
     check("4", "1000 tied random vectors agree with brute-force "
-               "Pearson-on-ranks to 1e-12", ok)
+               "Pearson-on-ranks to 1e-12, in spearman and in the cost's "
+               "rank kernel (tied and untied rows)", ok)
 
 
 def test_criterion_5_archive_soundness():

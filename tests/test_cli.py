@@ -124,6 +124,23 @@ class TestRunCommand:
         assert main(run_args(tiny_csv, tmp_path / "o", extra=[flag, value])) == 1
         assert "min_depth <= 6 <= max_depth" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra, message", [
+        (["--neighbourhood", "80", "--population", "64"],
+         "evo.neighbourhood (--neighbourhood) must not exceed evo.population (--population)"),
+        (["--population", "3", "--neighbourhood", "2"],
+         "evo.population (--population) must be >= 4"),
+        (["--p-xover", "1.2", "--p-mut", "-0.1", "--p-tree-mut", "-0.1"],
+         "evo.p_xover (--p-xover) must be in [0, 1]"),
+        (["--leaf", "0"], "cost.leaf (--leaf) must be > 0"),
+        (["--leaf", "nan"], "cost.leaf (--leaf) must be > 0 and finite"),
+        (["--leaf", "inf"], "cost.leaf (--leaf) must be > 0 and finite"),
+    ], ids=["neighbourhood", "population", "p-xover", "leaf-0", "leaf-nan", "leaf-inf"])
+    def test_setting_errors_name_key_and_flag(self, tiny_csv, tmp_path, capsys, extra, message):
+        out = tmp_path / "out"
+        assert main(run_args(tiny_csv, out, extra=extra)) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_cost_set_flag(self, tiny_csv, tmp_path):
         out = tmp_path / "cs"
         assert main(run_args(tiny_csv, out, extra=["--cost-set", "mul=sum,relu=prod"])) == 0

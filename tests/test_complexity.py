@@ -10,7 +10,6 @@ from gpembed.complexity import (
     DEFAULT_COST_MODEL,
     asymmetry_penalty,
     baseline_complexity,
-    complexity_report,
     individual_complexity,
     scaling_term,
     tree_complexity,
@@ -243,9 +242,8 @@ class TestIndividualComplexity:
 
     def test_report_totals(self):
         ind = Individual(trees=(parse("(add f0 f1)"), parse("(sigmoid f0)")))
-        report = complexity_report(ind)
-        assert report.total == 5.0
-        assert [t.value for t in report.trees] == [2.0, 3.0]
+        assert individual_complexity(ind) == 5.0
+        assert [tree_complexity(t).value for t in ind.trees] == [2.0, 3.0]
 
 
 class TestBaseline:
@@ -299,8 +297,9 @@ class TestCostModel:
             CostModel(mu=1.5)
         with pytest.raises(ValueError):
             CostModel(size_max=0)
-        with pytest.raises(ValueError):
-            CostModel(leaf_complexity=0.0)
+        for leaf in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                CostModel(leaf_complexity=leaf)
         with pytest.raises(ValueError):
             CostModel(operator_costs={"frobnicate": CostClass.SUM})
 

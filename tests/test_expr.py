@@ -316,6 +316,28 @@ class TestSurgery:
         with pytest.raises(IndexError):
             replace_subtree(tree, 5, parse("f0"))
 
+    @given(random_trees(), random_trees())
+    def test_preorder_walk(self, tree, replacement):
+        preorder = []
+
+        def walk(node, depth):
+            preorder.append((node, depth))
+            for child in node.children:
+                walk(child, depth + 1)
+
+        walk(tree, 0)
+        assert len(preorder) == tree.size
+        for i, (node, depth) in enumerate(preorder):
+            assert get_subtree(tree, i) is node
+            assert replace_subtree(tree, i, get_subtree(tree, i)) == tree
+            assert get_subtree(replace_subtree(tree, i, replacement), i) == replacement
+            assert node_depth(tree, i) == depth
+        for surgery in (get_subtree, node_depth):
+            with pytest.raises(IndexError):
+                surgery(tree, tree.size)
+        with pytest.raises(IndexError):
+            replace_subtree(tree, tree.size, replacement)
+
     def test_size_and_depth_fields(self):
         tree = parse("(sub (add f0 f1) f2)")
         assert tree.size == 5

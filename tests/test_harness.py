@@ -3,7 +3,7 @@ import pytest
 
 from conftest import make_clusters, make_separated_clusters, small_config
 from gpembed.dataset import from_arrays
-from gpembed.evolution import EvolutionConfig, GenerationStats, RunResult, run
+from gpembed.evolution import EvolutionConfig, FrontEntry, GenerationStats, RunResult, run
 from gpembed.expr import Individual, parse
 from gpembed import harness
 from gpembed.harness import fold_assignment, knn_cv_accuracy, report, summary_stats
@@ -171,6 +171,26 @@ class TestSummaryStats:
             ) == (total, n_exp, n_prod, n_sum, n_leaf, n_feat)
 
 
+class TestEvaluateEntries:
+    def test_repeated_genotype_is_scored_once(self, monkeypatch):
+        X, labels = make_clusters(20, 6, 2, seed=4)
+        ds = from_arrays(X, labels=labels)
+        e = FrontEntry(Individual(trees=(parse("(add f0 f1)"), parse("f2"))), 0.25, 3.0,
+                       ("(add f0 f1)", "f2"))
+        e2 = FrontEntry(Individual(trees=(parse("(mul f3 f4)"), parse("f5"))), 0.5, 2.0,
+                        ("(mul f3 f4)", "f5"))
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return knn_cv_accuracy(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "knn_cv_accuracy", counting)
+        first, second, third = harness.evaluate_entries([e, e2, e], ds, seed=3)
+        assert len(calls) == 2
+        assert third == first != second
+
+
 @pytest.fixture
 def finished_run():
     X, labels = make_clusters(20, 6, 2, seed=4)
@@ -198,9 +218,9 @@ class TestReport:
         assert (out / "final_front.csv").exists()
         assert (out / "summary.csv").exists()
         assert (out / "baseline.csv").read_text().splitlines()[0] == "knn_acc_mean,knn_acc_std"
-        for rec in records:
-            assert (out / "trees" / f"{rec.entry_id}.sexp").exists()
-            assert (out / "trees" / f"{rec.entry_id}.dot").exists()
+        for entry_id, _ in enumerate(records):
+            assert (out / "trees" / f"{entry_id}.sexp").exists()
+            assert (out / "trees" / f"{entry_id}.dot").exists()
 
     def test_rerun_is_byte_identical(self, finished_run, tmp_path):
         ds, config, result = finished_run
@@ -226,7 +246,8 @@ class TestReport:
         report(result, ds, config, tmp_path / "once")
         # archive, final-front entries not in it, and the raw-feature baseline
         assert len(calls) == len(result.archive) + len(result.final_front) - len(shared) + 1
-        harness._write_front_csv(tmp_path / "unshared.csv", final_entries, unshared)
+        harness._write_csv(tmp_path / "unshared.csv", harness.FRONT_COLUMNS,
+                           harness._front_rows(final_entries, unshared))
         assert (tmp_path / "once" / "final_front.csv").read_bytes() == (
             (tmp_path / "unshared.csv").read_bytes()
         )
@@ -250,10 +271,10 @@ class TestReport:
         from gpembed.harness import sorted_entries
 
         entries = sorted_entries(result.archive)
-        for rec, entry in zip(records, entries):
-            lines = (tmp_path / "rt" / "trees" / f"{rec.entry_id}.sexp").read_text().split()
+        for entry_id, (rec, entry) in enumerate(zip(records, entries)):
+            lines = (tmp_path / "rt" / "trees" / f"{entry_id}.sexp").read_text().split()
             parsed = tuple(parse(line) for line in
-                           (tmp_path / "rt" / "trees" / f"{rec.entry_id}.sexp").read_text().splitlines())
+                           (tmp_path / "rt" / "trees" / f"{entry_id}.sexp").read_text().splitlines())
             assert tuple(t for t in parsed) == entry.individual.trees
 
     def test_accuracy_in_unit_interval(self, finished_run, tmp_path):
