@@ -15,7 +15,7 @@ from typing import NamedTuple
 from . import evolution, harness
 from .complexity import (CostClass, CostModel, baseline_complexity, individual_complexity,
                          tree_complexity)
-from .dataset import Dataset, DatasetError, load_csv
+from .dataset import DatasetError, load_csv, normalize, read_csv
 from .expr import OPERATORS, Individual, TreeParseError, eval_individual, max_feature_index, parse
 
 
@@ -39,16 +39,16 @@ class Setting(NamedTuple):
 
 _RUN = ("run",)
 _DATA = ("run", "embed")
-_ALL = ("run", "score", "embed")
+_COST = ("run", "score")
 
 # flat config-file keys; the `cost.<operator>` keys come from the operator table
 CONFIG_SCHEMA: dict[str, Setting] = {
     "data.path": Setting(str, None, "data", _DATA, "dataset CSV path"),
     "data.label_col": Setting(str, None, "label_col", _DATA, "name of the label column"),
-    "cost.max_neighbours": Setting(int, None, "max_neighbours", _DATA, "neighbours ranked per row"),
-    "cost.mu": Setting(float, 0.75, "mu", _ALL, "scaling threshold", "mu"),
-    "cost.size_max": Setting(int, 100, "size_max", _ALL, "scaling reference size", "size_max"),
-    "cost.leaf": Setting(float, 1.0, "leaf", _ALL, "leaf complexity weight", "leaf_complexity"),
+    "cost.max_neighbours": Setting(int, None, "max_neighbours", _RUN, "neighbours ranked per row"),
+    "cost.mu": Setting(float, 0.75, "mu", _COST, "scaling threshold", "mu"),
+    "cost.size_max": Setting(int, 100, "size_max", _COST, "scaling reference size", "size_max"),
+    "cost.leaf": Setting(float, 1.0, "leaf", _COST, "leaf complexity weight", "leaf_complexity"),
     "out.dir": Setting(str, "out", "out", _RUN, "output directory (default: out)"),
     "evo.seed": Setting(int, 0, "seed", _RUN, "run seed", "seed"),
     "evo.generations": Setting(int, 1000, "generations", _RUN, "number of generations",
@@ -141,10 +141,10 @@ def _fields(values: dict[str, object], section: str) -> dict[str, object]:
 
 def _named(exc: ValueError) -> ConfigError:
     """`exc` naming each config field by its key and flag, e.g. "evo.population
-    (--population)"; a field followed by "<=" is part of a range that stays whole."""
+    (--population)"."""
     names = {setting.field: f"{key} (--{setting.dest.replace('_', '-')})"
              for key, setting in CONFIG_SCHEMA.items() if setting.field}
-    return ConfigError(re.sub(r"\b(" + "|".join(names) + r")\b(?! <=)",
+    return ConfigError(re.sub(r"\b(" + "|".join(names) + r")\b",
                               lambda m: names[m.group()], str(exc)))
 
 
@@ -206,14 +206,10 @@ def _load_trees(path) -> Individual:
     return Individual(trees=trees)
 
 
-def _load_dataset(values: dict[str, object]) -> Dataset:
+def _data_path(values: dict[str, object]) -> str:
     if not values["data.path"]:
         raise ConfigError("a dataset is required (--data or data.path)")
-    return load_csv(
-        values["data.path"],
-        label_column=values["data.label_col"],
-        max_neighbours=values["cost.max_neighbours"],
-    )
+    return values["data.path"]
 
 
 def cmd_run(args) -> int:
@@ -226,7 +222,8 @@ def cmd_run(args) -> int:
     if folds < 2:
         raise ConfigError(f"eval.folds (--folds) must be >= 2, got {folds}")
     resolved_text(values)  # refuse what config.resolved could not replay before any file I/O
-    dataset = _load_dataset(values)
+    dataset = load_csv(_data_path(values), values["data.label_col"],
+                       max_neighbours=values["cost.max_neighbours"])
     if dataset.labels is not None and folds > dataset.n_instances:
         raise ConfigError(
             f"eval.folds (--folds) = {folds} exceeds the {dataset.n_instances} instances"
@@ -273,28 +270,26 @@ def cmd_score(args) -> int:
 def cmd_embed(args) -> int:
     values = resolve_config(args)
     ind = _load_trees(args.tree_file)
-    dataset = _load_dataset(values)
+    instances = normalize(read_csv(_data_path(values), values["data.label_col"])[0])
     for idx, tree in enumerate(ind.trees):
         top = max_feature_index(tree)
-        if top >= dataset.n_features:
+        if top >= instances.shape[1]:
             raise ConfigError(
                 f"tree {idx} references f{top} but the dataset has "
-                f"{dataset.n_features} features"
+                f"{instances.shape[1]} features"
             )
-    embedding = eval_individual(ind, dataset)
+    embedding = eval_individual(ind, instances)
     out_path = args.out if args.out else "embedding.csv"
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(f"e{j}" for j in range(embedding.shape[1])) + "\n")
-        for row in embedding:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    harness._write_csv(out_path, ",".join(f"e{j}" for j in range(embedding.shape[1])), embedding)
     print(f"embedding ({embedding.shape[0]} x {embedding.shape[1]}) written to {out_path}")
     return 0
 
 
 def _add_flags(sub: argparse.ArgumentParser, command: str) -> None:
     sub.add_argument("--config", help="config file of 'key = value' lines")
-    sub.add_argument("--cost-set", dest="cost_set",
-                     help="operator cost overrides, e.g. mul=sum,relu=prod")
+    if command in _COST:
+        sub.add_argument("--cost-set", dest="cost_set",
+                         help="operator cost overrides, e.g. mul=sum,relu=prod")
     for setting in CONFIG_SCHEMA.values():
         if command in setting.commands:
             sub.add_argument(

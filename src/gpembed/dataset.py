@@ -182,12 +182,9 @@ def from_arrays(
     )
 
 
-def load_csv(
-    path,
-    label_column: str | None = None,
-    max_neighbours: int | None = None,
-) -> Dataset:
-    """Load a headered CSV of real numbers, with an optional label column."""
+def read_csv(path, label_column: str | None = None):
+    """Parse and check a headered CSV of real numbers, with an optional label
+    column; returns ``(matrix, labels, feature_names)``, labels None without one."""
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
@@ -243,9 +240,10 @@ def load_csv(
     feature_names = [h for i, h in enumerate(header) if i != label_idx]
     if len(feature_names) < 2:
         raise DatasetError(f"{path}: need at least 2 feature columns, got {len(feature_names)}")
-    return from_arrays(
-        np.asarray(rows, dtype=np.float64),
-        labels=labels if label_idx is not None else None,
-        feature_names=feature_names,
-        max_neighbours=max_neighbours,
-    )
+    return (np.asarray(rows, dtype=np.float64), labels if label_idx is not None else None,
+            feature_names)
+
+
+def load_csv(path, label_column: str | None = None, max_neighbours: int | None = None) -> Dataset:
+    """`read_csv`, normalized and with its neighbours ordered (see `from_arrays`)."""
+    return from_arrays(*read_csv(path, label_column), max_neighbours=max_neighbours)

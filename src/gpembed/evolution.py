@@ -295,29 +295,20 @@ def run(
     m = dataset.n_features
     pop_size = config.population_size
 
-    def evaluate(ind: Individual) -> Individual:
-        if ind.objectives is None:
-            ind.objectives = (
-                manifold_cost.cost(ind, dataset),
-                complexity.individual_complexity(ind, cost_model),
-            )
-        return ind
+    def evaluate(ind: Individual) -> None:
+        ind.objectives = (
+            manifold_cost.cost(ind, dataset),
+            complexity.individual_complexity(ind, cost_model),
+        )
 
-    executor = ThreadPoolExecutor(max_workers=config.threads) if config.threads > 1 else None
-
-    def evaluate_all(individuals):
-        if executor is None:
-            for ind in individuals:
-                evaluate(ind)
-        else:
-            list(executor.map(evaluate, individuals))
-
-    try:
+    # the pool starts no thread until it is used
+    with ThreadPoolExecutor(max_workers=config.threads) as pool:
+        pool_map = pool.map if config.threads > 1 else map
         rng_init = derive_rng(config.seed, LABEL_INIT)
         rng_vary = derive_rng(config.seed, LABEL_VARY)
 
         population = initialise(config, dataset, rng_init)
-        evaluate_all(population)
+        list(pool_map(evaluate, population))
 
         lam = [i / (pop_size - 1) for i in range(pop_size)]
         weights = [(l, 1.0 - l) for l in lam]
@@ -351,7 +342,7 @@ def run(
                 pa = population[nb[int(rng_vary.integers(len(nb)))]]
                 pb = population[nb[int(rng_vary.integers(len(nb)))]]
                 children.append(vary(pa, pb, config, rng_vary, m))
-            evaluate_all(children)
+            list(pool_map(evaluate, children))
 
             for i, child in enumerate(children):
                 t_child = _transformed(child.objectives)
@@ -374,12 +365,9 @@ def run(
             if on_generation is not None:
                 on_generation(gen, list(archive.entries), list(population))
 
-        final_front = non_dominated([_entry(ind) for ind in population])
-        return RunResult(
-            archive=list(archive.entries),
-            final_front=final_front,
-            telemetry=telemetry,
-        )
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    final_front = non_dominated([_entry(ind) for ind in population])
+    return RunResult(
+        archive=list(archive.entries),
+        final_front=final_front,
+        telemetry=telemetry,
+    )

@@ -346,25 +346,19 @@ def to_dot(ind: Individual, feature_names=None) -> str:
     graphs = []
     for t, tree in enumerate(ind.trees):
         lines = [f"digraph tree{t} {{"]
-        counter = [0]
-
-        def walk(node):
-            my_id = counter[0]
-            counter[0] += 1
+        stack = [(tree, None)]  # (node, its parent's id); a node's id is its preorder position
+        my_id = -1
+        while stack:
+            node, parent = stack.pop()
+            my_id += 1
+            if parent is not None:
+                lines.append(f"  n{parent} -> n{my_id};")
             if node.op is None:
-                if feature_names is not None:
-                    label = feature_names[node.feature]
-                else:
-                    label = f"f{node.feature}"
+                label = f"f{node.feature}" if feature_names is None else feature_names[node.feature]
             else:
                 label = node.op
             lines.append(f'  n{my_id} [label="{label}"];')
-            for child in node.children:
-                child_id = counter[0]
-                lines.append(f"  n{my_id} -> n{child_id};")
-                walk(child)
-
-        walk(tree)
+            stack.extend((child, my_id) for child in reversed(node.children))
         lines.append("}")
         graphs.append("\n".join(lines))
     return "\n".join(graphs) + "\n"

@@ -62,15 +62,12 @@ def spearman(ranks_a, ranks_b) -> float:
         raise ValueError(f"rank vectors differ in length: {a.shape} vs {b.shape}")
     if a.ndim != 1 or a.size < 2:
         raise ValueError("rank vectors must be 1-D with at least 2 entries")
-    ac = a - a.mean()
-    bc = b - b.mean()
-    denom = np.sqrt((ac * ac).sum() * (bc * bc).sum())
-    if denom == 0.0:
-        return 0.0
-    return float((ac * bc).sum() / denom)
+    return float(_row_correlations(a[None], b)[0])
 
 
 def _row_correlations(ranks: np.ndarray, ident: np.ndarray) -> np.ndarray:
+    """Per row of `ranks`, its Pearson correlation with `ident`; 0 where either
+    has zero variance."""
     centered = ranks - ranks.mean(axis=1, keepdims=True)
     ic = ident - ident.mean()
     ident_ss = float((ic * ic).sum())

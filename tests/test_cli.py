@@ -20,6 +20,7 @@ from gpembed.cli import (
 from gpembed.complexity import DEFAULT_COST_MODEL
 from gpembed.dataset import load_csv
 from gpembed.evolution import EvolutionConfig
+from gpembed.expr import Individual, eval_individual, parse as parse_tree
 from gpembed.manifold_cost import embedding_cost
 
 
@@ -122,7 +123,8 @@ class TestRunCommand:
     def test_depth_range_error_names_settable_bounds(self, tiny_csv, tmp_path, capsys,
                                                      flag, value):
         assert main(run_args(tiny_csv, tmp_path / "o", extra=[flag, value])) == 1
-        assert "min_depth <= 6 <= max_depth" in capsys.readouterr().err
+        assert ("evo.min_depth (--min-depth) <= 6 <= evo.max_depth (--max-depth)"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("extra, message", [
         (["--neighbourhood", "80", "--population", "64"],
@@ -235,7 +237,13 @@ class TestConfigResolution:
                 "--folds": ("folds", int),
             },
             "score": {**common, "tree_file": ("tree_file", None)},
-            "embed": {**common, **data, "--out": ("out", None), "tree_file": ("tree_file", None)},
+            "embed": {
+                "--config": ("config", None),
+                "--data": ("data", None),
+                "--label-col": ("label_col", None),
+                "--out": ("out", None),
+                "tree_file": ("tree_file", None),
+            },
         }
         subparsers = next(a for a in build_parser()._actions if a.dest == "command")
         assert set(subparsers.choices) == set(expected)
@@ -377,3 +385,46 @@ class TestEmbedCommand:
         err = capsys.readouterr().err
         assert "tree 1" in err
         assert "f99" in err
+
+    def test_embed_orders_no_neighbours(self, tiny_csv, tmp_path, monkeypatch):
+        from gpembed import dataset
+
+        want = eval_individual(
+            Individual(trees=(parse_tree("(add f0 f1)"), parse_tree("(mul f2 f3)"))),
+            load_csv(tiny_csv, label_column="cls"),
+        )
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("embed ordered neighbours")
+
+        monkeypatch.setattr(dataset, "neighbour_order", refuse)
+        trees = tmp_path / "trees.sexp"
+        trees.write_text("(add f0 f1)\n(mul f2 f3)\n", encoding="utf-8")
+        out_csv = tmp_path / "emb.csv"
+        assert main(["embed", str(trees), "--data", tiny_csv, "--label-col", "cls",
+                     "--out", str(out_csv)]) == 0
+        lines = ["e0,e1"] + [",".join(repr(float(v)) for v in row) for row in want]
+        assert out_csv.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
+
+    def test_embed_rejects_cost_flags(self, tiny_csv, tmp_path, capsys):
+        trees = tmp_path / "trees.sexp"
+        trees.write_text("(add f0 f1)\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            main(["embed", str(trees), "--data", tiny_csv, "--mu", "0.5"])
+        assert exc.value.code == 2
+        assert main(["score", str(trees), "--mu", "0.5"]) == 0
+        assert main(run_args(tiny_csv, tmp_path / "o", extra=["--mu", "0.5"])) == 0
+
+    def test_embed_reads_config_resolved(self, tiny_csv, tmp_path):
+        out = tmp_path / "run"
+        assert main(run_args(tiny_csv, out, extra=["--max-neighbours", "5"])) == 0
+        out_csv = tmp_path / "emb.csv"
+        assert main(["embed", str(out / "trees" / "0.sexp"), "--config",
+                     str(out / "config.resolved"), "--out", str(out_csv)]) == 0
+        ds = load_csv(tiny_csv, label_column="cls")
+        ind = Individual(trees=tuple(
+            parse_tree(line) for line in (out / "trees" / "0.sexp").read_text().splitlines()
+        ))
+        rows = out_csv.read_text().splitlines()[1:]
+        got = np.array([[float(v) for v in line.split(",")] for line in rows])
+        assert np.array_equal(got, eval_individual(ind, ds))

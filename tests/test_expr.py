@@ -288,6 +288,30 @@ class TestSerialization:
         named = to_dot(ind, feature_names=("alpha", "beta", "gamma"))
         assert 'label="gamma"' in named
 
+    def test_to_dot_text(self):
+        # node ids are preorder positions; each node's edge precedes its label
+        ind = Individual(trees=(parse("(sub (add f0 f1) (abs f2))"),))
+
+        def text(a, b, c):
+            return (
+                "digraph tree0 {\n"
+                '  n0 [label="sub"];\n'
+                "  n0 -> n1;\n"
+                '  n1 [label="add"];\n'
+                "  n1 -> n2;\n"
+                f'  n2 [label="{a}"];\n'
+                "  n1 -> n3;\n"
+                f'  n3 [label="{b}"];\n'
+                "  n0 -> n4;\n"
+                '  n4 [label="abs"];\n'
+                "  n4 -> n5;\n"
+                f'  n5 [label="{c}"];\n'
+                "}\n"
+            )
+
+        assert to_dot(ind) == text("f0", "f1", "f2")
+        assert to_dot(ind, ("alpha", "beta", "gamma")) == text("alpha", "beta", "gamma")
+
 
 class TestSurgery:
     def test_get_subtree_preorder(self):
