@@ -15,8 +15,8 @@ from typing import NamedTuple
 from . import evolution, harness
 from .complexity import (CostClass, CostModel, baseline_complexity, individual_complexity,
                          tree_complexity)
-from .dataset import DatasetError, load_csv, normalize, read_csv
-from .expr import OPERATORS, Individual, TreeParseError, eval_individual, max_feature_index, parse
+from .dataset import load_csv, normalize, read_csv
+from .expr import OPERATORS, Individual, eval_individual, max_feature_index, parse
 
 
 class ConfigError(ValueError):
@@ -329,7 +329,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DatasetError, TreeParseError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError, DatasetError and TreeParseError too
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -75,6 +75,9 @@ class CostModel:
                 raise ValueError(f"cost assigned to unknown operator {op!r}")
             if not isinstance(cls, CostClass):
                 raise ValueError(f"cost for {op!r} must be a CostClass, got {cls!r}")
+        missing = [op for op in OPERATOR_TABLE if op not in self.operator_costs]
+        if missing:
+            raise ValueError(f"cost model has no cost class for {', '.join(missing)}")
 
     def with_overrides(self, overrides: dict[str, CostClass]) -> "CostModel":
         return replace(self, operator_costs={**self.operator_costs, **overrides})
@@ -123,9 +126,7 @@ def _collect(node: Node, model: CostModel, out: list[NodeContribution]) -> float
     if node.op is None:
         return model.leaf_complexity
     sizes = [_collect(child, model, out) for child in node.children]
-    cost_class = model.operator_costs.get(node.op)
-    if cost_class is None:
-        raise ValueError(f"operator {node.op!r} has no cost class in the cost model")
+    cost_class = model.operator_costs[node.op]
     L = sizes[0]
     size_left = node.children[0].size
     if len(node.children) == 2:

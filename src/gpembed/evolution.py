@@ -9,9 +9,10 @@ value it improves.  An external archive keeps every non-dominated
 individual seen across the whole run.
 
 Determinism: variation, replacement, and archive updates run sequentially
-in subproblem order; only the (pure) objective evaluations are fanned out
-across threads, so any thread count reproduces the single-threaded run
-bit for bit.
+in subproblem order.  Only the objective evaluations are fanned out across
+threads; each is a pure function of the genotype, and the main thread
+records its result as one `FrontEntry`, in subproblem order.  So any thread
+count reproduces the single-threaded run bit for bit.
 """
 from __future__ import annotations
 
@@ -248,7 +249,7 @@ def vary(
     """One offspring via crossover / subtree mutation / add-remove-tree.
 
     Offspring violating the depth or tree-count bounds trigger a fresh
-    attempt, up to 10; after that the offspring is a copy of parent_a.
+    attempt, up to 10; after that the offspring is parent_a itself.
     """
     tree_cap = max_trees(n_features)
     for _ in range(10):
@@ -261,23 +262,17 @@ def vary(
             child = _tree_mutation(parent_a, config, rng, n_features, tree_cap)
         if child is not None and _individual_valid(child, config, tree_cap):
             return child
-    return Individual(trees=parent_a.trees)
+    return parent_a
 
 
-def _transformed(objectives: tuple[float, float]) -> tuple[float, float]:
+def _transformed(entry: FrontEntry) -> tuple[float, float]:
     # complexity is heavy-tailed; log-compress it so the weight geometry
     # is not flattened by exp-class outliers
-    return (objectives[0], math.log1p(objectives[1]))
+    return (entry.cost, math.log1p(entry.complexity))
 
 
-def _entry(ind: Individual) -> FrontEntry:
-    cost_value, cplx_value = ind.objectives
-    return FrontEntry(
-        individual=ind,
-        cost=cost_value,
-        complexity=cplx_value,
-        sexprs=ind.serialized(),
-    )
+def _entry(ind: Individual, objectives: tuple[float, float]) -> FrontEntry:
+    return FrontEntry(ind, *objectives, ind.serialized())
 
 
 def run(
@@ -289,14 +284,14 @@ def run(
     """Full evolutionary run; returns archive, final-population front, telemetry.
 
     `on_generation(gen, archive_entries, population)` is invoked after every
-    generation when given.
+    generation when given; both lists hold `FrontEntry`s.
     """
     config.validate()
     m = dataset.n_features
     pop_size = config.population_size
 
-    def evaluate(ind: Individual) -> None:
-        ind.objectives = (
+    def objectives(ind: Individual) -> tuple[float, float]:
+        return (
             manifold_cost.cost(ind, dataset),
             complexity.individual_complexity(ind, cost_model),
         )
@@ -304,27 +299,29 @@ def run(
     # the pool starts no thread until it is used
     with ThreadPoolExecutor(max_workers=config.threads) as pool:
         pool_map = pool.map if config.threads > 1 else map
+
+        def scored(individuals: list[Individual]) -> list[FrontEntry]:
+            results = pool_map(objectives, individuals)
+            return [_entry(ind, objs) for ind, objs in zip(individuals, results)]
+
         rng_init = derive_rng(config.seed, LABEL_INIT)
         rng_vary = derive_rng(config.seed, LABEL_VARY)
 
-        population = initialise(config, dataset, rng_init)
-        list(pool_map(evaluate, population))
+        population = scored(initialise(config, dataset, rng_init))
 
         lam = [i / (pop_size - 1) for i in range(pop_size)]
         weights = [(l, 1.0 - l) for l in lam]
-        neighbourhoods = []
-        size = min(config.moead_neighbourhood, pop_size)
-        for i in range(pop_size):
-            dist = np.abs(np.asarray(lam) - lam[i])
-            neighbourhoods.append(tuple(int(j) for j in np.argsort(dist, kind="stable")[:size]))
+        neighbourhoods = [
+            tuple(sorted(range(pop_size), key=lambda j: abs(lam[j] - lam[i]))
+                  [:config.moead_neighbourhood])
+            for i in range(pop_size)
+        ]
 
         archive = Archive()
-        for ind in population:
-            archive.add(_entry(ind))
+        for entry in population:
+            archive.add(entry)
 
-        ideal = [
-            min(_transformed(ind.objectives)[k] for ind in population) for k in (0, 1)
-        ]
+        ideal = [min(_transformed(entry)[k] for entry in population) for k in (0, 1)]
 
         telemetry = [
             GenerationStats(0, archive.min_cost(), archive.min_complexity(), len(archive))
@@ -333,31 +330,32 @@ def run(
             on_generation(0, list(archive.entries), list(population))
 
         for gen in range(1, config.generations + 1):
-            incumbent_objs = [_transformed(ind.objectives) for ind in population]
+            incumbent_objs = [_transformed(entry) for entry in population]
             nadir = [max(t[k] for t in incumbent_objs) for k in (0, 1)]
 
-            children = []
+            offspring = []
             for i in range(pop_size):
                 nb = neighbourhoods[i]
                 pa = population[nb[int(rng_vary.integers(len(nb)))]]
                 pb = population[nb[int(rng_vary.integers(len(nb)))]]
-                children.append(vary(pa, pb, config, rng_vary, m))
-            list(pool_map(evaluate, children))
+                offspring.append(vary(pa.individual, pb.individual, config, rng_vary, m))
 
-            for i, child in enumerate(children):
-                t_child = _transformed(child.objectives)
+            for i, child in enumerate(scored(offspring)):
+                t_child = _transformed(child)
                 ideal = [min(ideal[k], t_child[k]) for k in (0, 1)]
                 replaced = 0
                 for j in neighbourhoods[i]:
                     inc = population[j]
                     g_child = tchebycheff(t_child, weights[j], ideal, nadir)
-                    g_inc = tchebycheff(_transformed(inc.objectives), weights[j], ideal, nadir)
-                    if g_child < g_inc or (g_child == g_inc and child.n_nodes < inc.n_nodes):
+                    g_inc = tchebycheff(_transformed(inc), weights[j], ideal, nadir)
+                    if g_child < g_inc or (
+                        g_child == g_inc and child.individual.n_nodes < inc.individual.n_nodes
+                    ):
                         population[j] = child
                         replaced += 1
                         if replaced == 2:
                             break
-                archive.add(_entry(child))
+                archive.add(child)
 
             telemetry.append(
                 GenerationStats(gen, archive.min_cost(), archive.min_complexity(), len(archive))
@@ -365,9 +363,8 @@ def run(
             if on_generation is not None:
                 on_generation(gen, list(archive.entries), list(population))
 
-    final_front = non_dominated([_entry(ind) for ind in population])
     return RunResult(
         archive=list(archive.entries),
-        final_front=final_front,
+        final_front=non_dominated(population),
         telemetry=telemetry,
     )

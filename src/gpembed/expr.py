@@ -10,7 +10,7 @@ one store equal values.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -124,10 +124,10 @@ class Node:
 
 @dataclass
 class Individual:
-    """An ordered collection of trees; one embedding dimension per tree."""
+    """A genotype: an ordered collection of trees, one embedding dimension per
+    tree, and nothing else; its scores live in `evolution.FrontEntry`."""
 
     trees: tuple[Node, ...]
-    objectives: tuple[float, float] | None = field(default=None, compare=False)
 
     @property
     def n_nodes(self) -> int:

@@ -112,10 +112,7 @@ def summary_stats(ind: Individual, model: CostModel = DEFAULT_COST_MODEL) -> Sum
         if node.op is None:
             features.append(node.feature)
             continue
-        cls = model.operator_costs.get(node.op)
-        if cls is None:
-            raise ValueError(f"operator {node.op!r} has no cost class in the cost model")
-        counts[cls] += 1
+        counts[model.operator_costs[node.op]] += 1
         stack.extend(node.children)
     return SummaryStats(
         n_nodes=sum(counts.values()) + len(features),

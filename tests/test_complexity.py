@@ -146,9 +146,8 @@ class TestTreeComplexity:
         assert by_op["mul"].formula_value == 3.0
 
     def test_unassigned_operator_errors(self):
-        model = CostModel(operator_costs={"add": CostClass.SUM})
         with pytest.raises(ValueError, match="sigmoid"):
-            tree_complexity(parse("(sigmoid f0)"), model)
+            CostModel(operator_costs={"add": CostClass.SUM})
 
     def test_leaf_complexity_parameter(self):
         model = CostModel(leaf_complexity=2.0)

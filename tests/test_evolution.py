@@ -21,7 +21,7 @@ from gpembed.expr import MAX_TREE_DEPTH, Individual, parse, serialize
 
 
 def entry(cost, complexity, tag="t"):
-    ind = Individual(trees=(parse("(add f0 f1)"),), objectives=(cost, complexity))
+    ind = Individual(trees=(parse("(add f0 f1)"),))
     return FrontEntry(ind, cost, complexity, (f"({tag} {cost} {complexity})",))
 
 
@@ -222,6 +222,16 @@ class TestVary:
             sizes.add(len(child.trees))
         assert sizes == {2, 3}
 
+    def test_no_valid_offspring_falls_back_to_parent_a_itself(self):
+        # m=4 -> max_trees=2: a 2-tree parent can neither gain nor lose a tree
+        config = small_config(
+            p_crossover=0.0, p_standard_mutation=0.0, p_tree_mutation=1.0,
+            population_size=6, seed=0,
+        )
+        pa = Individual(trees=(parse("(add f0 f1)"), parse("(mul f2 f3)")))
+        pb = Individual(trees=(parse("(sub f0 f3)"), parse("(min f1 f2)")))
+        assert vary(pa, pb, config, derive_rng(5, 2), 4) is pa
+
 
 class TestRun:
     def test_zero_generations_returns_initial_front(self, small_dataset):
@@ -297,6 +307,36 @@ class TestRun:
             for b in result.final_front[i + 1 :]:
                 assert not _dominates(a, b)
                 assert not _dominates(b, a)
+
+    def test_each_scored_individual_serialized_once(self, small_dataset, monkeypatch):
+        calls = [0]
+        serialized = Individual.serialized
+
+        def counting(ind):
+            calls[0] += 1
+            return serialized(ind)
+
+        monkeypatch.setattr(Individual, "serialized", counting)
+        config = EvolutionConfig(generations=3, population_size=8, moead_neighbourhood=4, seed=4)
+        run(small_dataset, config)
+        assert calls[0] == 8 * (3 + 1)
+
+    def test_population_holds_scored_front_entries(self, small_dataset):
+        from gpembed import complexity, manifold_cost
+
+        config = EvolutionConfig(generations=4, population_size=8, moead_neighbourhood=4, seed=7)
+        populations = []
+        result = run(small_dataset, config,
+                     on_generation=lambda gen, entries, population: populations.append(population))
+        assert len(populations) == 5
+        for population in populations:
+            for e in population:
+                assert isinstance(e, FrontEntry)
+                assert e.cost == manifold_cost.cost(e.individual, small_dataset)
+                assert e.complexity == complexity.individual_complexity(e.individual)
+                assert e.sexprs == e.individual.serialized()
+        key = lambda entries: [(e.cost, e.complexity, e.sexprs) for e in entries]  # noqa: E731
+        assert key(result.final_front) == key(non_dominated(populations[-1]))
 
     def test_telemetry_schema(self, small_dataset):
         config = EvolutionConfig(generations=4, population_size=8, moead_neighbourhood=4, seed=0)
