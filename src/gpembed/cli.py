@@ -216,14 +216,15 @@ def cmd_run(args) -> int:
     values = resolve_config(args)
     cost_model = build_cost_model(values)
     config = build_evolution_config(values)
-    k, folds = values["eval.k"], values["eval.folds"]
+    k, folds, nbrs = values["eval.k"], values["eval.folds"], values["cost.max_neighbours"]
     if k < 1:
         raise ConfigError(f"eval.k (--k) must be >= 1, got {k}")
+    if nbrs is not None and nbrs < 1:
+        raise ConfigError(f"cost.max_neighbours (--max-neighbours) must be >= 1, got {nbrs}")
     if folds < 2:
         raise ConfigError(f"eval.folds (--folds) must be >= 2, got {folds}")
     resolved_text(values)  # refuse what config.resolved could not replay before any file I/O
-    dataset = load_csv(_data_path(values), values["data.label_col"],
-                       max_neighbours=values["cost.max_neighbours"])
+    dataset = load_csv(_data_path(values), values["data.label_col"], max_neighbours=nbrs)
     if dataset.labels is not None and folds > dataset.n_instances:
         raise ConfigError(
             f"eval.folds (--folds) = {folds} exceeds the {dataset.n_instances} instances"
@@ -258,8 +259,9 @@ def cmd_score(args) -> int:
         tc = tree_complexity(tree, cost_model)
         base = baseline_complexity(tree)
         print(f"tree {idx}: F(T) = {tc.value}")
-        print(f"  nodes = {tc.node_count}  scaling = {tc.scaling}  "
-              f"asymmetry_total = {tc.asymmetry_total}  baseline = {base}")
+        asymmetry_total = sum(c.asymmetry for c in tc.contributions)
+        print(f"  nodes = {tree.size}  scaling = {tc.scaling}  "
+              f"asymmetry_total = {asymmetry_total}  baseline = {base}")
         for contrib in tc.contributions:
             print(f"    {contrib.op}: formula {contrib.formula_value}, "
                   f"asymmetry {contrib.asymmetry}")

@@ -98,8 +98,6 @@ class TreeComplexity:
     """Per-tree breakdown: F(T) = scaling * sum of node contributions."""
 
     value: float
-    node_count: int
-    asymmetry_total: float
     scaling: float
     contributions: tuple[NodeContribution, ...]
 
@@ -150,17 +148,10 @@ def tree_complexity(tree: Node, model: CostModel = DEFAULT_COST_MODEL) -> TreeCo
     contributions: list[NodeContribution] = []
     _collect(tree, model, contributions)
     scaling = scaling_term(tree.size, model.size_max, model.mu)
-    asym = sum(c.asymmetry for c in contributions)
     raw = sum(c.formula_value + c.asymmetry for c in contributions)
     if tree.op is None:
         raw = model.leaf_complexity  # a bare terminal still has positive cost
-    return TreeComplexity(
-        value=scaling * raw,
-        node_count=tree.size,
-        asymmetry_total=asym,
-        scaling=scaling,
-        contributions=tuple(contributions),
-    )
+    return TreeComplexity(value=scaling * raw, scaling=scaling, contributions=tuple(contributions))
 
 
 def individual_complexity(ind: Individual, model: CostModel = DEFAULT_COST_MODEL) -> float:

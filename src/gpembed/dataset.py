@@ -186,7 +186,7 @@ def read_csv(path, label_column: str | None = None):
     """Parse and check a headered CSV of real numbers, with an optional label
     column; returns ``(matrix, labels, feature_names)``, labels None without one."""
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")  # drops a leading BOM
     except OSError as exc:
         raise DatasetError(f"cannot open {path}: {exc}") from exc
     with fh:

@@ -1,12 +1,14 @@
 """Decomposition-based multi-objective evolution of multi-tree individuals.
 
 The population is attached to evenly spaced weight vectors, one scalarised
-subproblem each.  Every generation each subproblem breeds one offspring
-from parents drawn from its neighbourhood, offspring are evaluated on the
-two objectives (neighbourhood cost, structural complexity), and each
-offspring may replace up to two neighbouring incumbents whose Tchebycheff
-value it improves.  An external archive keeps every non-dominated
-individual seen across the whole run.
+subproblem each.  Generation 0 is the scored initial population.  In
+every later generation each subproblem breeds one offspring from parents
+drawn from its neighbourhood, offspring are evaluated on the two
+objectives (neighbourhood cost, structural complexity), and each offspring
+may replace up to two neighbouring incumbents whose Tchebycheff value it
+improves.  Every generation then offers its new entries to an external
+archive, which keeps every non-dominated individual seen across the whole
+run, and records one telemetry row.
 
 Determinism: variation, replacement, and archive updates run sequentially
 in subproblem order.  Only the objective evaluations are fanned out across
@@ -145,12 +147,6 @@ class Archive:
         self.entries.append(entry)
         return True
 
-    def min_cost(self) -> float:
-        return min(e.cost for e in self.entries)
-
-    def min_complexity(self) -> float:
-        return min(e.complexity for e in self.entries)
-
 
 def non_dominated(entries: list[FrontEntry]) -> list[FrontEntry]:
     """Non-dominated, de-duplicated filter preserving input order."""
@@ -284,7 +280,8 @@ def run(
     """Full evolutionary run; returns archive, final-population front, telemetry.
 
     `on_generation(gen, archive_entries, population)` is invoked after every
-    generation when given; both lists hold `FrontEntry`s.
+    generation, 0 (the scored initial population) through
+    `config.generations`, when given; both lists hold `FrontEntry`s.
     """
     config.validate()
     m = dataset.n_features
@@ -307,7 +304,9 @@ def run(
         rng_init = derive_rng(config.seed, LABEL_INIT)
         rng_vary = derive_rng(config.seed, LABEL_VARY)
 
-        population = scored(initialise(config, dataset, rng_init))
+        new_entries = scored(initialise(config, dataset, rng_init))
+        population = list(new_entries)
+        ideal = [min(_transformed(entry)[k] for entry in population) for k in (0, 1)]
 
         lam = [i / (pop_size - 1) for i in range(pop_size)]
         weights = [(l, 1.0 - l) for l in lam]
@@ -317,49 +316,37 @@ def run(
             for i in range(pop_size)
         ]
 
+        def parent(nb: tuple[int, ...]) -> Individual:
+            return population[nb[int(rng_vary.integers(len(nb)))]].individual
+
         archive = Archive()
-        for entry in population:
-            archive.add(entry)
+        telemetry = []
+        for gen in range(config.generations + 1):
+            if gen > 0:
+                nadir = [max(_transformed(entry)[k] for entry in population) for k in (0, 1)]
+                new_entries = scored([vary(parent(nb), parent(nb), config, rng_vary, m)
+                                      for nb in neighbourhoods])
+                for i, child in enumerate(new_entries):
+                    t_child = _transformed(child)
+                    ideal = [min(ideal[k], t_child[k]) for k in (0, 1)]
+                    replaced = 0
+                    for j in neighbourhoods[i]:
+                        inc = population[j]
+                        g_child = tchebycheff(t_child, weights[j], ideal, nadir)
+                        g_inc = tchebycheff(_transformed(inc), weights[j], ideal, nadir)
+                        if g_child < g_inc or (
+                            g_child == g_inc and child.individual.n_nodes < inc.individual.n_nodes
+                        ):
+                            population[j] = child
+                            replaced += 1
+                            if replaced == 2:
+                                break
 
-        ideal = [min(_transformed(entry)[k] for entry in population) for k in (0, 1)]
-
-        telemetry = [
-            GenerationStats(0, archive.min_cost(), archive.min_complexity(), len(archive))
-        ]
-        if on_generation is not None:
-            on_generation(0, list(archive.entries), list(population))
-
-        for gen in range(1, config.generations + 1):
-            incumbent_objs = [_transformed(entry) for entry in population]
-            nadir = [max(t[k] for t in incumbent_objs) for k in (0, 1)]
-
-            offspring = []
-            for i in range(pop_size):
-                nb = neighbourhoods[i]
-                pa = population[nb[int(rng_vary.integers(len(nb)))]]
-                pb = population[nb[int(rng_vary.integers(len(nb)))]]
-                offspring.append(vary(pa.individual, pb.individual, config, rng_vary, m))
-
-            for i, child in enumerate(scored(offspring)):
-                t_child = _transformed(child)
-                ideal = [min(ideal[k], t_child[k]) for k in (0, 1)]
-                replaced = 0
-                for j in neighbourhoods[i]:
-                    inc = population[j]
-                    g_child = tchebycheff(t_child, weights[j], ideal, nadir)
-                    g_inc = tchebycheff(_transformed(inc), weights[j], ideal, nadir)
-                    if g_child < g_inc or (
-                        g_child == g_inc and child.individual.n_nodes < inc.individual.n_nodes
-                    ):
-                        population[j] = child
-                        replaced += 1
-                        if replaced == 2:
-                            break
-                archive.add(child)
-
-            telemetry.append(
-                GenerationStats(gen, archive.min_cost(), archive.min_complexity(), len(archive))
-            )
+            for entry in new_entries:
+                archive.add(entry)
+            telemetry.append(GenerationStats(gen, min(e.cost for e in archive.entries),
+                                             min(e.complexity for e in archive.entries),
+                                             len(archive)))
             if on_generation is not None:
                 on_generation(gen, list(archive.entries), list(population))
 

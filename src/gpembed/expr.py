@@ -353,10 +353,12 @@ def to_dot(ind: Individual, feature_names=None) -> str:
             my_id += 1
             if parent is not None:
                 lines.append(f"  n{parent} -> n{my_id};")
-            if node.op is None:
-                label = f"f{node.feature}" if feature_names is None else feature_names[node.feature]
-            else:
+            if node.op is not None:
                 label = node.op
+            elif feature_names is None:
+                label = f"f{node.feature}"
+            else:  # header text; escape it for a DOT quoted string
+                label = feature_names[node.feature].replace("\\", "\\\\").replace('"', '\\"')
             lines.append(f'  n{my_id} [label="{label}"];')
             stack.extend((child, my_id) for child in reversed(node.children))
         lines.append("}")

@@ -136,7 +136,9 @@ class TestRunCommand:
         (["--leaf", "0"], "cost.leaf (--leaf) must be > 0"),
         (["--leaf", "nan"], "cost.leaf (--leaf) must be > 0 and finite"),
         (["--leaf", "inf"], "cost.leaf (--leaf) must be > 0 and finite"),
-    ], ids=["neighbourhood", "population", "p-xover", "leaf-0", "leaf-nan", "leaf-inf"])
+        (["--max-neighbours", "0"], "cost.max_neighbours (--max-neighbours) must be >= 1"),
+    ], ids=["neighbourhood", "population", "p-xover", "leaf-0", "leaf-nan", "leaf-inf",
+            "max-neighbours"])
     def test_setting_errors_name_key_and_flag(self, tiny_csv, tmp_path, capsys, extra, message):
         out = tmp_path / "out"
         assert main(run_args(tiny_csv, out, extra=extra)) == 1

@@ -134,13 +134,11 @@ class TestTreeComplexity:
         assert tree.size == 81
         report = tree_complexity(tree)
         assert report.scaling == pytest.approx(2 * 81 / 100)
-        assert report.node_count == 81
 
     def test_report_fields(self):
         report = tree_complexity(parse("(mul (add f0 f1) f2)"))
-        assert report.node_count == 5
         assert report.scaling == 1.0
-        assert report.asymmetry_total == 3.0
+        assert [c.asymmetry for c in report.contributions] == [0.0, 3.0]
         by_op = {c.op: c for c in report.contributions}
         assert by_op["add"].formula_value == 2.0
         assert by_op["mul"].formula_value == 3.0

@@ -164,6 +164,13 @@ class TestLoadCsv:
         assert ds.label_names == ("a", "b")
         assert ds.labels.tolist() == [1, 0, 1]
 
+    def test_leading_utf8_bom_is_dropped(self, tmp_path):
+        # spreadsheets often export CSVs with a byte-order mark
+        path = write_csv(tmp_path / "d.csv", "\ufeffcls,x,y\nb,0,1\na,1,2\nb,2,3\n")
+        ds = load_csv(path, label_column="cls")
+        assert ds.feature_names == ("x", "y")
+        assert ds.label_names == ("a", "b")
+
     def test_constant_column_zeroed(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", "a,b\n5,1\n5,2\n5,3\n")
         ds = load_csv(path)

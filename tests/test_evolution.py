@@ -338,6 +338,30 @@ class TestRun:
         key = lambda entries: [(e.cost, e.complexity, e.sexprs) for e in entries]  # noqa: E731
         assert key(result.final_front) == key(non_dominated(populations[-1]))
 
+    def test_archive_is_non_dominated_of_every_scored_entry(self, small_dataset, monkeypatch):
+        from gpembed import evolution
+
+        scored = []
+        make_entry = evolution._entry
+
+        def recording(ind, objectives):
+            scored.append(make_entry(ind, objectives))
+            return scored[-1]
+
+        monkeypatch.setattr(evolution, "_entry", recording)
+        key = lambda entries: [(e.cost, e.complexity, e.sexprs) for e in entries]  # noqa: E731
+        generations = []
+
+        def check(gen, archive_entries, population):
+            assert len(scored) == 8 * (gen + 1)
+            assert key(archive_entries) == key(non_dominated(scored))
+            generations.append(gen)
+
+        config = EvolutionConfig(generations=10, population_size=8, moead_neighbourhood=4, seed=3)
+        result = run(small_dataset, config, on_generation=check)
+        assert generations == list(range(11))
+        assert key(result.archive) == key(non_dominated(scored))
+
     def test_telemetry_schema(self, small_dataset):
         config = EvolutionConfig(generations=4, population_size=8, moead_neighbourhood=4, seed=0)
         result = run(small_dataset, config)

@@ -311,6 +311,8 @@ class TestSerialization:
 
         assert to_dot(ind) == text("f0", "f1", "f2")
         assert to_dot(ind, ("alpha", "beta", "gamma")) == text("alpha", "beta", "gamma")
+        # header cells are free text; DOT quoted strings escape quotes and backslashes
+        assert to_dot(ind, ('a"b', "c\\d", "e")) == text('a\\"b', "c\\\\d", "e")
 
 
 class TestSurgery:
