@@ -13,8 +13,8 @@ import sys
 from typing import NamedTuple
 
 from . import evolution, harness
-from .complexity import (CostClass, CostModel, baseline_complexity, individual_complexity,
-                         tree_complexity)
+from .complexity import (DEFAULT_OPERATOR_COSTS, CostClass, CostModel, baseline_complexity,
+                         individual_complexity, tree_complexity)
 from .dataset import load_csv, normalize, read_csv
 from .expr import OPERATORS, Individual, eval_individual, max_feature_index, parse
 
@@ -150,24 +150,18 @@ def _named(exc: ValueError) -> ConfigError:
 
 def build_cost_model(values: dict[str, object]) -> CostModel:
     try:
-        overrides = {
-            op: CostClass.from_string(values[f"cost.{op}"])
-            for op in OPERATORS
-            if values[f"cost.{op}"] is not None
-        }
-        model = CostModel(**_fields(values, "cost"))
-        return model.with_overrides(overrides) if overrides else model
+        set_costs = {op: CostClass.from_string(values[f"cost.{op}"])
+                     for op in OPERATORS if values[f"cost.{op}"] is not None}
+        return CostModel({**DEFAULT_OPERATOR_COSTS, **set_costs}, **_fields(values, "cost"))
     except ValueError as exc:
         raise _named(exc) from None
 
 
 def build_evolution_config(values: dict[str, object]) -> evolution.EvolutionConfig:
-    config = evolution.EvolutionConfig(**_fields(values, "evo"))
     try:
-        config.validate()
+        return evolution.EvolutionConfig(**_fields(values, "evo"))
     except ValueError as exc:
         raise _named(exc) from None
-    return config
 
 
 def resolved_text(values: dict[str, object]) -> str:
@@ -185,13 +179,6 @@ def resolved_text(values: dict[str, object]) -> str:
             )
         lines.append(f"{key} = {text}\n")
     return "".join(lines)
-
-
-def write_resolved(values: dict[str, object], path) -> None:
-    """Write `resolved_text(values)` to `path`; nothing is written on a ConfigError."""
-    text = resolved_text(values)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
 
 
 def _load_trees(path) -> Individual:
@@ -223,7 +210,7 @@ def cmd_run(args) -> int:
         raise ConfigError(f"cost.max_neighbours (--max-neighbours) must be >= 1, got {nbrs}")
     if folds < 2:
         raise ConfigError(f"eval.folds (--folds) must be >= 2, got {folds}")
-    resolved_text(values)  # refuse what config.resolved could not replay before any file I/O
+    resolved = resolved_text(values)  # refused before any file I/O if not replayable
     dataset = load_csv(_data_path(values), values["data.label_col"], max_neighbours=nbrs)
     if dataset.labels is not None and folds > dataset.n_instances:
         raise ConfigError(
@@ -232,7 +219,8 @@ def cmd_run(args) -> int:
 
     out_dir = values["out.dir"]
     os.makedirs(out_dir, exist_ok=True)
-    write_resolved(values, os.path.join(out_dir, "config.resolved"))
+    with open(os.path.join(out_dir, "config.resolved"), "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(resolved)
 
     result = evolution.run(dataset, config, cost_model=cost_model)
     records = harness.report(result, dataset, config, out_dir, k=k, folds=folds, model=cost_model)

@@ -23,7 +23,7 @@ to the power of their first child's value.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .expr import FLOAT_MAX, OPERATOR_TABLE, Individual, Node
@@ -78,9 +78,6 @@ class CostModel:
         missing = [op for op in OPERATOR_TABLE if op not in self.operator_costs]
         if missing:
             raise ValueError(f"cost model has no cost class for {', '.join(missing)}")
-
-    def with_overrides(self, overrides: dict[str, CostClass]) -> "CostModel":
-        return replace(self, operator_costs={**self.operator_costs, **overrides})
 
 
 DEFAULT_COST_MODEL = CostModel()

@@ -55,8 +55,10 @@ def max_trees(n_features: int) -> int:
     return max(2, n_features // 2)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EvolutionConfig:
+    """Search settings, checked when built, so an EvolutionConfig is always valid."""
+
     generations: int = 1000
     population_size: int = 100
     p_crossover: float = 0.70
@@ -68,7 +70,7 @@ class EvolutionConfig:
     seed: int = 0
     threads: int = 1
 
-    def validate(self) -> None:
+    def __post_init__(self):
         p_total = self.p_crossover + self.p_standard_mutation + self.p_tree_mutation
         if abs(p_total - 1.0) > 1e-9:
             raise ValueError("probabilities must sum to 1")
@@ -88,7 +90,7 @@ class EvolutionConfig:
         if self.generations < 0:
             raise ValueError("generations must be >= 0")
         if self.seed < 0:
-            raise ValueError("seed must be a non-negative 64-bit integer")
+            raise ValueError("seed must be >= 0")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
 
@@ -167,7 +169,6 @@ def tchebycheff(objectives, weights, ideal, nadir) -> float:
 
 def initialise(config: EvolutionConfig, dataset: Dataset, rng: np.random.Generator) -> list[Individual]:
     """Ramped population: depths cycle over the ramp, grow and full alternate."""
-    config.validate()
     m = dataset.n_features
     ramp = list(range(config.min_depth, INIT_DEPTH_CAP + 1))
     population = []
@@ -283,7 +284,6 @@ def run(
     generation, 0 (the scored initial population) through
     `config.generations`, when given; both lists hold `FrontEntry`s.
     """
-    config.validate()
     m = dataset.n_features
     pop_size = config.population_size
 

@@ -102,10 +102,6 @@ class Node:
             raise ValueError(f"{op} takes {arity} children, got {len(children)}")
         return Node(op, -1, children)
 
-    @property
-    def is_terminal(self) -> bool:
-        return self.op is None
-
     def __repr__(self) -> str:
         return f"Node({serialize(self)})"
 

@@ -26,9 +26,9 @@ def random_dataset():
 
 def small_config(**kwargs) -> EvolutionConfig:
     """EvolutionConfig for desk-size tests: neighbourhood clamped to the population."""
-    config = EvolutionConfig(**kwargs)
-    config.moead_neighbourhood = min(config.moead_neighbourhood, config.population_size)
-    return config
+    population = kwargs.get("population_size", EvolutionConfig.population_size)
+    neighbourhood = kwargs.get("moead_neighbourhood", EvolutionConfig.moead_neighbourhood)
+    return EvolutionConfig(**{**kwargs, "moead_neighbourhood": min(neighbourhood, population)})
 
 
 def make_clusters(n_per_cluster, n_features, n_clusters, seed, spread=0.5, separation=10.0):

@@ -15,7 +15,7 @@ from gpembed.cli import (
     parse_config_file,
     parse_cost_set,
     resolve_config,
-    write_resolved,
+    resolved_text,
 )
 from gpembed.complexity import DEFAULT_COST_MODEL
 from gpembed.dataset import load_csv
@@ -137,8 +137,10 @@ class TestRunCommand:
         (["--leaf", "nan"], "cost.leaf (--leaf) must be > 0 and finite"),
         (["--leaf", "inf"], "cost.leaf (--leaf) must be > 0 and finite"),
         (["--max-neighbours", "0"], "cost.max_neighbours (--max-neighbours) must be >= 1"),
+        (["--cost-set", "mul="], "unknown cost class ''"),
+        (["--seed", "-1"], "evo.seed (--seed) must be >= 0"),
     ], ids=["neighbourhood", "population", "p-xover", "leaf-0", "leaf-nan", "leaf-inf",
-            "max-neighbours"])
+            "max-neighbours", "empty-cost-class", "seed"])
     def test_setting_errors_name_key_and_flag(self, tiny_csv, tmp_path, capsys, extra, message):
         out = tmp_path / "out"
         assert main(run_args(tiny_csv, out, extra=extra)) == 1
@@ -195,16 +197,15 @@ class TestConfigResolution:
             "--max-neighbours", "40", "--cost-set", "mul=sum,relu=prod",
         ])
         values = resolve_config(args)
-        write_resolved(values, tmp_path / "config.resolved")
+        (tmp_path / "config.resolved").write_text(resolved_text(values), encoding="utf-8")
         assert parse_config_file(tmp_path / "config.resolved") == {
             key: value for key, value in values.items() if value is not None
         }
 
     @pytest.mark.parametrize("bad", ["a#b.csv", " wine.csv", "wine.csv ", "a\nb.csv", "a\rb.csv"])
-    def test_write_resolved_rejects_unreadable_values(self, tmp_path, bad):
+    def test_write_resolved_rejects_unreadable_values(self, bad):
         with pytest.raises(ConfigError, match="cannot be replayed"):
-            write_resolved({"data.path": bad}, tmp_path / "config.resolved")
-        assert not (tmp_path / "config.resolved").exists()
+            resolved_text({"data.path": bad})
 
     def test_flag_set(self):
         # option strings, dests and types per subcommand; str flags carry no type
@@ -347,6 +348,14 @@ class TestScoreCommand:
         path.write_text("(mul f0 f1)\n", encoding="utf-8")
         assert main(["score", str(path), "--cost-set", "mul=sum"]) == 0
         assert "F(T) = 2.0" in capsys.readouterr().out
+
+    def test_empty_cost_class_in_config_file_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "trees.sexp"
+        path.write_text("(mul f0 f1)\n", encoding="utf-8")
+        cfg = tmp_path / "costs.cfg"
+        cfg.write_text("cost.mul =\n", encoding="utf-8")
+        assert main(["score", str(path), "--config", str(cfg)]) == 1
+        assert "unknown cost class ''" in capsys.readouterr().err
 
 
 class TestEmbedCommand:

@@ -219,7 +219,8 @@ class TestIndividualComplexity:
     def test_two_cost_models_give_two_values(self):
         tree = parse("(mul (add f0 f1) f2)")
         ind = Individual(trees=(tree, parse("(sigmoid f0)")))
-        as_sum = DEFAULT_COST_MODEL.with_overrides({"mul": CostClass.SUM})
+        as_sum = CostModel(operator_costs={**DEFAULT_COST_MODEL.operator_costs,
+                                           "mul": CostClass.SUM})
         for model in (DEFAULT_COST_MODEL, as_sum, DEFAULT_COST_MODEL):
             want = sum(tree_complexity(t, model).value for t in ind.trees)
             assert individual_complexity(ind, model) == want
@@ -283,7 +284,8 @@ class TestCostModel:
             assert costs[op] is CostClass.EXP
 
     def test_with_overrides(self):
-        model = DEFAULT_COST_MODEL.with_overrides({"mul": CostClass.SUM})
+        model = CostModel(operator_costs={**DEFAULT_COST_MODEL.operator_costs,
+                                          "mul": CostClass.SUM})
         assert model.operator_costs["mul"] is CostClass.SUM
         assert DEFAULT_COST_MODEL.operator_costs["mul"] is CostClass.PROD
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,22 +35,29 @@ def small_dataset():
 
 class TestConfig:
     def test_probabilities_must_sum_to_one(self):
-        config = EvolutionConfig(p_crossover=0.9, p_standard_mutation=0.2)
         with pytest.raises(ValueError, match="sum to 1"):
-            config.validate()
+            EvolutionConfig(p_crossover=0.9, p_standard_mutation=0.2)
 
     def test_population_floor(self):
         with pytest.raises(ValueError, match="population"):
-            EvolutionConfig(population_size=3, moead_neighbourhood=2).validate()
+            EvolutionConfig(population_size=3, moead_neighbourhood=2)
 
     def test_max_depth_bounded_by_parser(self):
-        EvolutionConfig(max_depth=MAX_TREE_DEPTH).validate()
+        EvolutionConfig(max_depth=MAX_TREE_DEPTH)
         with pytest.raises(ValueError, match="max_depth"):
-            EvolutionConfig(max_depth=MAX_TREE_DEPTH + 1).validate()
+            EvolutionConfig(max_depth=MAX_TREE_DEPTH + 1)
 
     def test_neighbourhood_bounded_by_population(self):
         with pytest.raises(ValueError, match="neighbourhood"):
-            EvolutionConfig(population_size=8, moead_neighbourhood=9).validate()
+            EvolutionConfig(population_size=8, moead_neighbourhood=9)
+
+    def test_frozen_and_checked_on_every_copy(self):
+        config = EvolutionConfig(population_size=8, moead_neighbourhood=4)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.threads = 0
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            dataclasses.replace(config, threads=0)
+        assert dataclasses.replace(config, seed=2).seed == 2
 
     def test_resolved_max_trees(self):
         assert max_trees(4) == 2

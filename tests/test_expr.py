@@ -169,7 +169,7 @@ class TestRandomTree:
         rng = np.random.default_rng(0)
         tree = random_tree(4, 1, 1, "full", rng)
         assert tree.op is not None
-        assert all(c.is_terminal for c in tree.children)
+        assert all(c.op is None for c in tree.children)
         assert tree.depth == 1
 
     def test_full_puts_all_leaves_at_target(self):
@@ -179,7 +179,7 @@ class TestRandomTree:
             depths = []
 
             def walk(node, d):
-                if node.is_terminal:
+                if node.op is None:
                     depths.append(d)
                 for c in node.children:
                     walk(c, d + 1)
