@@ -18,6 +18,8 @@ count reproduces the single-threaded run bit for bit.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -268,6 +270,20 @@ def _transformed(entry: FrontEntry) -> tuple[float, float]:
     return (entry.cost, math.log1p(entry.complexity))
 
 
+@functools.cache
+def pad_heap_top() -> None:
+    """Once per process, set glibc's M_TOP_PAD to 16 MB, so the heap top freed by each cost
+    call's n*k temporaries stays mapped instead of being trimmed and faulted back in by the
+    next call.  A no-op where the C library cannot be loaded (TypeError on Windows) or has
+    no `mallopt`."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt(-2, 16 << 20)  # -2 is M_TOP_PAD
+
+
 def _entry(ind: Individual, objectives: tuple[float, float]) -> FrontEntry:
     return FrontEntry(ind, *objectives, ind.serialized())
 
@@ -284,6 +300,7 @@ def run(
     generation, 0 (the scored initial population) through
     `config.generations`, when given; both lists hold `FrontEntry`s.
     """
+    pad_heap_top()
     m = dataset.n_features
     pop_size = config.population_size
 
@@ -306,7 +323,8 @@ def run(
 
         new_entries = scored(initialise(config, dataset, rng_init))
         population = list(new_entries)
-        ideal = [min(_transformed(entry)[k] for entry in population) for k in (0, 1)]
+        transformed = [_transformed(entry) for entry in population]
+        ideal = [min(t[k] for t in transformed) for k in (0, 1)]
 
         lam = [i / (pop_size - 1) for i in range(pop_size)]
         weights = [(l, 1.0 - l) for l in lam]
@@ -323,7 +341,7 @@ def run(
         telemetry = []
         for gen in range(config.generations + 1):
             if gen > 0:
-                nadir = [max(_transformed(entry)[k] for entry in population) for k in (0, 1)]
+                nadir = [max(t[k] for t in transformed) for k in (0, 1)]
                 new_entries = scored([vary(parent(nb), parent(nb), config, rng_vary, m)
                                       for nb in neighbourhoods])
                 for i, child in enumerate(new_entries):
@@ -333,11 +351,12 @@ def run(
                     for j in neighbourhoods[i]:
                         inc = population[j]
                         g_child = tchebycheff(t_child, weights[j], ideal, nadir)
-                        g_inc = tchebycheff(_transformed(inc), weights[j], ideal, nadir)
+                        g_inc = tchebycheff(transformed[j], weights[j], ideal, nadir)
                         if g_child < g_inc or (
                             g_child == g_inc and child.individual.n_nodes < inc.individual.n_nodes
                         ):
                             population[j] = child
+                            transformed[j] = t_child
                             replaced += 1
                             if replaced == 2:
                                 break

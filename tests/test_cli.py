@@ -139,8 +139,10 @@ class TestRunCommand:
         (["--max-neighbours", "0"], "cost.max_neighbours (--max-neighbours) must be >= 1"),
         (["--cost-set", "mul="], "unknown cost class ''"),
         (["--seed", "-1"], "evo.seed (--seed) must be >= 0"),
+        (["--cost-set", "mul=seed"], "unknown cost class 'seed'"),
+        (["--cost-set", "mul=mu"], "unknown cost class 'mu'"),
     ], ids=["neighbourhood", "population", "p-xover", "leaf-0", "leaf-nan", "leaf-inf",
-            "max-neighbours", "empty-cost-class", "seed"])
+            "max-neighbours", "empty-cost-class", "seed", "cost-class-seed", "cost-class-mu"])
     def test_setting_errors_name_key_and_flag(self, tiny_csv, tmp_path, capsys, extra, message):
         out = tmp_path / "out"
         assert main(run_args(tiny_csv, out, extra=extra)) == 1

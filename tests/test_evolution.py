@@ -1,11 +1,19 @@
+import ctypes
 import dataclasses
+import math
+import os
+import platform
+import subprocess
+import sys
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_clusters, small_config
+from conftest import REPO_ROOT, WINE_CSV, make_clusters, small_config
+from gpembed import evolution
 from gpembed.dataset import from_arrays
 from gpembed.evolution import (
     Archive,
@@ -371,12 +379,112 @@ class TestRun:
         assert generations == list(range(11))
         assert key(result.archive) == key(non_dominated(scored))
 
+    def test_replacement_replays_from_recomputed_objectives(self, small_dataset, monkeypatch):
+        # the reference loop recomputes every transformed objective per comparison
+        scored, populations = [], []
+        make_entry = evolution._entry
+
+        def recording(ind, objectives):
+            scored.append(make_entry(ind, objectives))
+            return scored[-1]
+
+        monkeypatch.setattr(evolution, "_entry", recording)
+        config = EvolutionConfig(generations=12, population_size=8, moead_neighbourhood=4, seed=5)
+        run(small_dataset, config,
+            on_generation=lambda gen, entries, population: populations.append(population))
+
+        def transformed(e):
+            return (e.cost, math.log1p(e.complexity))
+
+        lam = [i / 7 for i in range(8)]
+        neighbourhoods = [sorted(range(8), key=lambda j: abs(lam[j] - lam[i]))[:4]
+                          for i in range(8)]
+        ideal = [min(transformed(e)[k] for e in scored[:8]) for k in (0, 1)]
+        replacements = 0
+        for gen in range(1, 13):
+            population = list(populations[gen - 1])
+            nadir = [max(transformed(e)[k] for e in population) for k in (0, 1)]
+            for i, child in enumerate(scored[8 * gen : 8 * (gen + 1)]):
+                ideal = [min(ideal[k], transformed(child)[k]) for k in (0, 1)]
+                replaced = 0
+                for j in neighbourhoods[i]:
+                    inc = population[j]
+                    weights = (lam[j], 1.0 - lam[j])
+                    g_child = tchebycheff(transformed(child), weights, ideal, nadir)
+                    g_inc = tchebycheff(transformed(inc), weights, ideal, nadir)
+                    if g_child < g_inc or (
+                        g_child == g_inc and child.individual.n_nodes < inc.individual.n_nodes
+                    ):
+                        population[j] = child
+                        replaced += 1
+                        if replaced == 2:
+                            break
+                replacements += replaced
+            assert all(a is b for a, b in zip(population, populations[gen]))
+        assert replacements > 0
+
     def test_telemetry_schema(self, small_dataset):
         config = EvolutionConfig(generations=4, population_size=8, moead_neighbourhood=4, seed=0)
         result = run(small_dataset, config)
         assert [row.generation for row in result.telemetry] == [0, 1, 2, 3, 4]
         for row in result.telemetry:
             assert row.archive_size >= 1
+
+
+@pytest.fixture
+def fresh_heap_pad():
+    evolution.pad_heap_top.cache_clear()
+    yield
+    evolution.pad_heap_top.cache_clear()
+
+
+def _no_libc(name):
+    raise OSError("no C library")
+
+
+class TestHeapTopPad:
+    def test_mallopt_called_once_per_process(self, small_dataset, monkeypatch, fresh_heap_pad):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+        config = EvolutionConfig(generations=1, population_size=8, moead_neighbourhood=4, seed=1)
+        run(small_dataset, config)
+        run(small_dataset, config)
+        assert calls == [(-2, 16 << 20)]
+
+    @pytest.mark.parametrize("cdll", [_no_libc, lambda name: object()],
+                             ids=["cdll-raises", "no-mallopt"])
+    def test_without_mallopt_does_nothing(self, small_dataset, monkeypatch, fresh_heap_pad,
+                                          cdll):
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        config = EvolutionConfig(generations=2, population_size=8, moead_neighbourhood=4, seed=1)
+        assert len(run(small_dataset, config).telemetry) == 3
+        assert evolution.pad_heap_top.cache_info().misses == 1  # run called it, with the fake
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap trimming")
+    def test_cost_kernel_does_not_fault_freed_pages_back_in(self):
+        # a fresh process, so no earlier test has shaped the heap; the second
+        # run is measured, after the first has grown the heap to its size
+        script = f"""
+import resource
+from gpembed import evolution, load_csv
+ds = load_csv({WINE_CSV!r}, label_column="class")
+config = evolution.EvolutionConfig(generations=4, population_size=64, seed=1)
+evolution.run(ds, config)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+evolution.run(ds, config)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / (64 * 5))
+"""
+        src = os.path.join(REPO_ROOT, "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, check=True, timeout=300)
+        assert float(out.stdout) < 25  # 276 per evaluation when glibc trims on every free
 
 
 def _dominates(a, b):
