@@ -14,7 +14,10 @@ Determinism: variation, replacement, and archive updates run sequentially
 in subproblem order.  Only the objective evaluations are fanned out across
 threads; each is a pure function of the genotype, and the main thread
 records its result as one `FrontEntry`, in subproblem order.  So any thread
-count reproduces the single-threaded run bit for bit.
+count reproduces the single-threaded run bit for bit.  For the same reason
+a genotype whose tree texts were already scored in the run takes the cached
+objectives; the main thread looks them up and de-duplicates each batch
+before fanning it out, so every thread count evaluates the same genotypes.
 """
 from __future__ import annotations
 
@@ -274,18 +277,23 @@ def _transformed(entry: FrontEntry) -> tuple[float, float]:
 def pad_heap_top() -> None:
     """Once per process, set glibc's M_TOP_PAD to 16 MB, so the heap top freed by each cost
     call's n*k temporaries stays mapped instead of being trimmed and faulted back in by the
-    next call.  A no-op where the C library cannot be loaded (TypeError on Windows) or has
-    no `mallopt`."""
+    next call.  That stops glibc from raising its mmap and trim thresholds (128 KB at start)
+    as blocks are freed, so they are set to 32 and 128 MB; else each larger temporary is
+    mapped afresh per call.  A no-op where the C library cannot be loaded (TypeError on
+    Windows) or has no `mallopt`."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, TypeError, AttributeError):
         return
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt(-2, 16 << 20)  # -2 is M_TOP_PAD
+    mallopt(-2, 16 << 20)  # M_TOP_PAD
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 128 << 20)  # M_TRIM_THRESHOLD
 
 
-def _entry(ind: Individual, objectives: tuple[float, float]) -> FrontEntry:
-    return FrontEntry(ind, *objectives, ind.serialized())
+def _entry(ind: Individual, scores: tuple[float, float, tuple[str, ...]]) -> FrontEntry:
+    """The record of `ind` scored as (cost, complexity, its `serialized()` texts)."""
+    return FrontEntry(ind, *scores)
 
 
 def run(
@@ -314,9 +322,14 @@ def run(
     with ThreadPoolExecutor(max_workers=config.threads) as pool:
         pool_map = pool.map if config.threads > 1 else map
 
+        # objectives of every genotype scored this run, keyed by its tree texts
+        cache: dict[tuple[str, ...], tuple[float, float]] = {}
+
         def scored(individuals: list[Individual]) -> list[FrontEntry]:
-            results = pool_map(objectives, individuals)
-            return [_entry(ind, objs) for ind, objs in zip(individuals, results)]
+            keys = [ind.serialized() for ind in individuals]
+            fresh = {key: ind for key, ind in zip(keys, individuals) if key not in cache}
+            cache.update(zip(fresh, pool_map(objectives, fresh.values())))
+            return [_entry(ind, (*cache[key], key)) for ind, key in zip(individuals, keys)]
 
         rng_init = derive_rng(config.seed, LABEL_INIT)
         rng_vary = derive_rng(config.seed, LABEL_VARY)

@@ -3,9 +3,9 @@
 A tree maps a feature vector to one scalar output (one embedding
 dimension).  Trees are immutable after construction: variation operators
 build new trees instead of mutating in place, so evaluation is pure and
-safe to run concurrently.  A tree root's two cache slots (see `Node`) only
-ever hold what evaluation would compute again; threads that race to fill
-one store equal values.
+safe to run concurrently.  A tree root's cache slots (see `Node`) only
+ever hold what evaluation or serialization would compute again; threads
+that race to fill one store equal values.
 """
 from __future__ import annotations
 
@@ -69,10 +69,12 @@ class Node:
     `complexity_memo` is ``(cost_model, value)`` from
     `complexity.individual_complexity`.  Each is reused only for the very
     object it names (``memo[0] is ...``); holding that reference keeps the
-    object's identity from being recycled.  Neither takes part in equality.
+    object's identity from being recycled.  A third, `text_memo`, holds
+    `serialize`'s text once it is asked for.  None takes part in equality.
     """
 
-    __slots__ = ("op", "feature", "children", "size", "depth", "column_memo", "complexity_memo")
+    __slots__ = ("op", "feature", "children", "size", "depth",
+                 "column_memo", "complexity_memo", "text_memo")
 
     def __init__(self, op: str | None, feature: int, children: tuple["Node", ...]):
         self.op = op
@@ -80,6 +82,7 @@ class Node:
         self.children = children
         self.column_memo = None
         self.complexity_memo = None
+        self.text_memo = None
         if op is None:
             self.size = 1
             self.depth = 0
@@ -285,10 +288,18 @@ def node_depth(tree: Node, index: int) -> int:
 # serialization
 
 def serialize(tree: Node) -> str:
-    """Canonical s-expression, e.g. ``(sub (add f0 f1) f2)``."""
+    """Canonical s-expression, e.g. ``(sub (add f0 f1) f2)``; kept in the
+    tree's `text_memo`, and its subtrees keep none."""
+    text = tree.text_memo
+    if text is None:
+        text = tree.text_memo = _sexpr(tree)
+    return text
+
+
+def _sexpr(tree: Node) -> str:
     if tree.op is None:
         return f"f{tree.feature}"
-    return "(" + " ".join([tree.op] + [serialize(c) for c in tree.children]) + ")"
+    return "(" + " ".join([tree.op] + [_sexpr(c) for c in tree.children]) + ")"
 
 
 def parse(text: str) -> Node:

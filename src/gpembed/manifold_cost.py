@@ -14,12 +14,14 @@ left-to-right sum, and tied distances share their average rank.
 `embedding_cost` sorts each row once, as integer keys that carry each
 distance's column (`_rank_correlations`), and takes an untied row's rho
 straight from that permutation in exact arithmetic; rows whose keys come
-close to a tie go through `fractional_ranks` and `_row_correlations`, the
-reference path, so every cost is bitwise what that path gives.  Columns come
-from `eval_individual`, which reuses each tree's column while it is scored
+close to a tie are ranked again, in integers, by their bit patterns.  Both
+are bitwise what `fractional_ranks` and `_row_correlations`, the reference
+path, give.  Columns come from `eval_individual`, which reuses each tree's column while it is scored
 on the same dataset (see `expr.Node`).
 """
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -80,41 +82,86 @@ def _row_correlations(ranks: np.ndarray, ident: np.ndarray) -> np.ndarray:
     return rho
 
 
+@functools.cache
+def _rank_constants(width: int) -> tuple:
+    """Read-only per-width constants of `_rank_correlations`: column indices,
+    the identity ranking as ints and as floats, its centred copy doubled into
+    ints, its sum of squares, and the untied numerator's offset."""
+    columns = np.arange(width)
+    ident = np.arange(1.0, width + 1.0)
+    ic = ident - ident.mean()
+    ident_ss = float((ic * ic).sum())
+    centre = (width + 1) / 2.0
+    offset = ident.sum() - width * centre * centre
+    arrays = (columns, columns + 1, ident, (2.0 * ic).astype(np.int64))
+    for a in arrays:
+        a.flags.writeable = False
+    return (*arrays, ident_ss, offset)
+
+
 def _rank_correlations(d2: np.ndarray) -> np.ndarray:
     """Per row, Spearman rho between the ranks of `d2` and the identity ranking.
 
     Each row is sorted once, as int64 keys holding a value's bit pattern with
     its low `shift` bits replaced by its column: bit patterns of non-negative
     floats (``+inf`` included) sort like the floats, and the low bits of a
-    sorted key give the row's argsort.  A row in which two adjacent keys share
-    their high bits ("near-tied", which includes every exact tie) or which
-    holds a sign bit or a NaN payload goes through `fractional_ranks`.  Every
-    other row has the inverse permutation as ranks, whose numerator
-    ``sum_p (p+1)(order_p+1) - w((w+1)/2)^2`` and sum of squares (the
-    identity's) are exact in float64, so rho is bitwise what
-    `_row_correlations` gives for those ranks.
+    sorted key give the row's argsort.  Every row without two adjacent keys
+    that share their high bits has the inverse permutation as ranks, whose
+    numerator ``sum_p (p+1)(order_p+1) - w((w+1)/2)^2`` and sum of squares
+    (the identity's) are exact in float64.  A row in which two do ("near-tied",
+    which includes every exact tie) is ranked by `_tied_rank_correlations`;
+    one that holds a sign bit or a NaN payload goes through `fractional_ranks`.
+    Either way rho is bitwise what `_row_correlations` gives for the averaged
+    ranks.
     """
     width = d2.shape[1]
+    columns, ranks, ident, _, ident_ss, offset = _rank_constants(width)
     shift = (width - 1).bit_length()
     low = (1 << shift) - 1
     keys = d2.view(np.int64) & ~low  # == (bits >> shift) << shift
-    keys |= np.arange(width)
+    keys |= columns
     keys.sort(axis=1)
-    fallback = ((keys[:, 1:] ^ keys[:, :-1]) <= low).any(axis=1)
+    near_tied = ((keys[:, 1:] ^ keys[:, :-1]) <= low).any(axis=1)
     # a sum of squares holds neither, but embedding_cost takes any array
-    fallback |= keys[:, 0] < 0  # a sign bit
-    fallback |= keys[:, -1] > (_INF_BITS | low)  # a NaN payload in the high bits
+    reference = keys[:, 0] < 0  # a sign bit
+    reference |= keys[:, -1] > (_INF_BITS | low)  # a NaN payload in the high bits
+    near_tied &= ~reference
     keys &= low  # each row's argsort
-    ident = np.arange(1.0, width + 1.0)
-    ic = ident - ident.mean()
-    ident_ss = float((ic * ic).sum())
-    centre = (width + 1) / 2.0
-    num = (keys @ np.arange(1, width + 1)).astype(np.float64)
-    num += ident.sum() - width * centre * centre
+    num = (keys @ ranks).astype(np.float64)
+    num += offset
     rho = num / np.sqrt(ident_ss * ident_ss)
-    if fallback.any():
-        rho[fallback] = _row_correlations(fractional_ranks(d2[fallback]), ident)
+    if near_tied.any():
+        rho[near_tied] = _tied_rank_correlations(d2[near_tied])
+    if reference.any():
+        rho[reference] = _row_correlations(fractional_ranks(d2[reference]), ident)
     return rho
+
+
+def _tied_rank_correlations(d2: np.ndarray) -> np.ndarray:
+    """`_row_correlations(fractional_ranks(d2), ident)` for rows of non-negative,
+    non-NaN values, in integer arithmetic.
+
+    One unstable argsort of the bit patterns orders each row; equal patterns
+    are equal values, and a tie group at sorted positions ``s..e`` shares the
+    doubled average rank ``s + e + 2`` whatever order the sort left it in.  With
+    the doubled centred ranks ``c2`` the numerator is ``sum(c2 * ic2) / 4`` and
+    the row's sum of squares ``sum(c2^2) / 4``, both exact multiples of 1/4, so
+    rho is bitwise the reference's; a row of one tie group gets 0.
+    """
+    rows, width = d2.shape
+    columns, _, _, ic2, ident_ss, _ = _rank_constants(width)
+    bits = d2.view(np.int64)
+    order = np.argsort(bits, axis=1)
+    ordered = np.take_along_axis(bits, order, axis=1)
+    tie = np.zeros((rows, width + 1), dtype=bool)  # tie[:, p]: positions p - 1 and p tie
+    tie[:, 1:-1] = ordered[:, 1:] == ordered[:, :-1]
+    first = np.maximum.accumulate(np.where(tie[:, :-1], 0, columns), axis=1)
+    last = np.minimum.accumulate(np.where(tie[:, 1:], width - 1, columns)[:, ::-1], axis=1)
+    c2 = first + last[:, ::-1] + (1 - width)
+    num = (c2 * ic2[order]).sum(axis=1) / 4.0
+    row_ss = (c2 * c2).sum(axis=1) / 4.0
+    denom = np.sqrt(row_ss * ident_ss)
+    return np.divide(num, denom, out=np.zeros(rows), where=denom > 0.0)
 
 
 def embedding_cost(embedding: np.ndarray, neighbour_order: np.ndarray) -> float:

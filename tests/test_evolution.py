@@ -454,7 +454,7 @@ class TestHeapTopPad:
         config = EvolutionConfig(generations=1, population_size=8, moead_neighbourhood=4, seed=1)
         run(small_dataset, config)
         run(small_dataset, config)
-        assert calls == [(-2, 16 << 20)]
+        assert calls == [(-2, 16 << 20), (-3, 32 << 20), (-1, 128 << 20)]
 
     @pytest.mark.parametrize("cdll", [_no_libc, lambda name: object()],
                              ids=["cdll-raises", "no-mallopt"])
@@ -467,24 +467,87 @@ class TestHeapTopPad:
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap trimming")
     def test_cost_kernel_does_not_fault_freed_pages_back_in(self):
-        # a fresh process, so no earlier test has shaped the heap; the second
-        # run is measured, after the first has grown the heap to its size
-        script = f"""
+        ds = f"load_csv({WINE_CSV!r}, label_column='class')"
+        config = "EvolutionConfig(generations=4, population_size=64, seed=1)"
+        assert _faults_per_cost_call(ds, config) < 25  # 276 when glibc trims on every free
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc mmap threshold")
+    def test_wide_rows_do_not_map_temporaries_afresh(self):
+        # 599 neighbours per row make 2.9 MB n*k temporaries, larger than any
+        # block loading freed; a frozen 128 KB mmap threshold maps each afresh
+        ds = "from_arrays(np.random.default_rng(0).normal(size=(600, 10)))"
+        config = "EvolutionConfig(generations=1, population_size=8, moead_neighbourhood=4, seed=1)"
+        assert _faults_per_cost_call(ds, config) < 25  # about 6,000 with the 128 KB threshold
+
+
+def _faults_per_cost_call(dataset: str, config: str) -> float:
+    """Minor page faults per `manifold_cost.cost` call of the second of two runs
+    in a fresh process, so no earlier test has shaped the heap; the dataset is
+    loaded before the first, which grows the heap to its size."""
+    script = f"""
 import resource
-from gpembed import evolution, load_csv
-ds = load_csv({WINE_CSV!r}, label_column="class")
-config = evolution.EvolutionConfig(generations=4, population_size=64, seed=1)
-evolution.run(ds, config)
+import numpy as np
+from gpembed import manifold_cost
+from gpembed.dataset import from_arrays, load_csv
+from gpembed.evolution import EvolutionConfig, run
+calls = []
+cost = manifold_cost.cost
+manifold_cost.cost = lambda ind, ds: calls.append(None) or cost(ind, ds)
+ds, config = {dataset}, {config}
+run(ds, config)
+calls.clear()
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-evolution.run(ds, config)
-print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / (64 * 5))
+run(ds, config)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / len(calls))
 """
-        src = os.path.join(REPO_ROOT, "src")
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                             text=True, check=True, timeout=300)
-        assert float(out.stdout) < 25  # 276 per evaluation when glibc trims on every free
+    src = os.path.join(REPO_ROOT, "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True, timeout=300)
+    return float(out.stdout)
+
+
+class TestObjectiveCache:
+    """A genotype scored earlier in the run reuses its objectives.  The reference
+    run scores every entry afresh instead, whatever the cache held."""
+
+    def trajectory(self, dataset, threads, out_dir, monkeypatch, bypass=False):
+        from gpembed import complexity, harness, manifold_cost
+
+        calls, entries = [], []
+        cost, make_entry = manifold_cost.cost, evolution._entry
+
+        def entry(ind, scores):
+            entries.append(None)
+            if bypass:
+                scores = (cost(ind, dataset), complexity.individual_complexity(ind), scores[2])
+            return make_entry(ind, scores)
+
+        monkeypatch.setattr(manifold_cost, "cost",
+                            lambda ind, ds: calls.append(None) or cost(ind, ds))
+        monkeypatch.setattr(evolution, "_entry", entry)
+        config = EvolutionConfig(generations=20, population_size=16, moead_neighbourhood=8,
+                                 seed=2, threads=threads)
+        harness.report(run(dataset, config), dataset, config, out_dir)
+        monkeypatch.undo()
+        files = [(out_dir / name).read_bytes() for name in ("front.csv", "telemetry.csv")]
+        return files, len(calls), len(entries)
+
+    @pytest.mark.parametrize("threads", [1, 8])
+    def test_matches_a_cache_bypassed_run(self, wine_dataset, threads, tmp_path, monkeypatch):
+        want, _, _ = self.trajectory(wine_dataset, 1, tmp_path / "bypassed", monkeypatch,
+                                     bypass=True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got, calls, entries = self.trajectory(wine_dataset, threads, tmp_path / "cached",
+                                                  monkeypatch)
+        finally:
+            sys.setswitchinterval(interval)
+        assert entries == 16 * 21
+        assert calls < entries  # the run repeats genotypes, so the cache is used
+        assert got == want
 
 
 def _dominates(a, b):

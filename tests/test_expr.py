@@ -147,6 +147,18 @@ class TestColumnReuse:
         kept = [k for k in range(3) if k != i]
         assert np.array_equal(child_columns[:, kept], parent_columns[:, kept])
 
+    def test_crossover_child_serializes_one_tree(self):
+        rng = np.random.default_rng(15)
+        parent = Individual(trees=tuple(random_tree(4, 2, 4, "grow", rng) for _ in range(3)))
+        other = Individual(trees=tuple(random_tree(4, 2, 4, "grow", rng) for _ in range(3)))
+        texts = parent.serialized()
+        child = _crossover(parent, other, rng)
+        (i,) = [k for k in range(3) if child.trees[k] is not parent.trees[k]]
+        assert child.trees[i].text_memo is None
+        got = child.serialized()
+        assert [got[k] is texts[k] for k in range(3)] == [k != i for k in range(3)]
+        assert got[i] == expr._sexpr(child.trees[i]) and child.trees[i].text_memo is got[i]
+
     def test_threads_sharing_trees_get_fresh_columns(self):
         rng = np.random.default_rng(14)
         datasets = [from_arrays(rng.normal(size=(20, 4))) for _ in range(2)]

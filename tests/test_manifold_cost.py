@@ -11,6 +11,7 @@ from gpembed.expr import FLOAT_MAX, Individual, parse
 from gpembed.manifold_cost import (
     _rank_correlations,
     _row_correlations,
+    _tied_rank_correlations,
     cost,
     embedding_cost,
     fractional_ranks,
@@ -110,6 +111,14 @@ def embeddings(width, coordinates):
                   elements=coordinates)
 
 
+def tie_rows(width):
+    """Rows of squared distances with runs of exact ties (small integers and
+    +inf), values a few ulps from a tie, and a last row of one repeated value."""
+    value = st.one_of(NEAR_TIES.map(lambda v: v * v), st.just(np.inf))
+    rows = arrays(np.float64, st.tuples(st.integers(1, 4), st.just(width)), elements=value)
+    return st.tuples(rows, value).map(lambda p: np.vstack([p[0], np.full(width, p[1])]))
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 class TestRankKernel:
     @settings(max_examples=200, deadline=None)
@@ -148,6 +157,15 @@ class TestRankKernel:
         ident = np.arange(1.0, 5.0)
         want = _row_correlations(fractional_ranks(rows), ident)
         assert np.array_equal(_rank_correlations(rows), want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([2, 3, 5, 17, 129]).flatmap(tie_rows))
+    def test_tied_path_equals_reference(self, d2):
+        ident = np.arange(1.0, d2.shape[1] + 1.0)
+        want = _row_correlations(fractional_ranks(d2), ident)
+        assert np.array_equal(_tied_rank_correlations(d2), want)
+        assert np.array_equal(_rank_correlations(d2), want)
+        assert not want[-1]  # the last row is one tie group
 
     def test_against_bruteforce(self):
         rng = np.random.default_rng(5)
