@@ -75,7 +75,7 @@ CONFIG_SCHEMA: dict[str, Setting] = {
 def parse_config_file(path) -> dict[str, object]:
     values: dict[str, object] = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
@@ -185,7 +185,7 @@ def resolved_text(values: dict[str, object]) -> str:
 
 def _load_trees(path) -> Individual:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = [line.strip() for line in fh]
     except OSError as exc:
         raise ConfigError(f"cannot read tree file {path}: {exc}") from exc

@@ -274,19 +274,16 @@ def _transformed(entry: FrontEntry) -> tuple[float, float]:
 
 
 @functools.cache
-def pad_heap_top() -> None:
-    """Once per process, set glibc's M_TOP_PAD to 16 MB, so the heap top freed by each cost
-    call's n*k temporaries stays mapped instead of being trimmed and faulted back in by the
-    next call.  That stops glibc from raising its mmap and trim thresholds (128 KB at start)
-    as blocks are freed, so they are set to 32 and 128 MB; else each larger temporary is
-    mapped afresh per call.  A no-op where the C library cannot be loaded (TypeError on
-    Windows) or has no `mallopt`."""
+def set_heap_thresholds() -> None:
+    """Once per process, set glibc's mmap threshold to 32 MB and its trim threshold to
+    128 MB, so each cost call's freed n*k temporaries stay in the heap instead of being
+    unmapped or trimmed and faulted back in, zero-filled, by the next call.  A no-op where
+    the C library cannot be loaded (TypeError on Windows) or has no `mallopt`."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, TypeError, AttributeError):
         return
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt(-2, 16 << 20)  # M_TOP_PAD
     mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
     mallopt(-1, 128 << 20)  # M_TRIM_THRESHOLD
 
@@ -308,7 +305,7 @@ def run(
     generation, 0 (the scored initial population) through
     `config.generations`, when given; both lists hold `FrontEntry`s.
     """
-    pad_heap_top()
+    set_heap_thresholds()
     m = dataset.n_features
     pop_size = config.population_size
 

@@ -11,13 +11,15 @@ Embedding distances are squared Euclidean distances summed in column order
 (`dataset.sq_distances`), so equal distances tie exactly as in a plain
 left-to-right sum, and tied distances share their average rank.
 
-`embedding_cost` sorts each row once, as integer keys that carry each
+`embedding_cost` refuses an embedding that is not a finite (n, t) array
+matching the neighbour order (tree evaluation saturates every node, so a run
+never makes one), then sorts each row once, as integer keys that carry each
 distance's column (`_rank_correlations`), and takes an untied row's rho
 straight from that permutation in exact arithmetic; rows whose keys come
 close to a tie are ranked again, in integers, by their bit patterns.  Both
 are bitwise what `fractional_ranks` and `_row_correlations`, the reference
-path, give.  Columns come from `eval_individual`, which reuses each tree's column while it is scored
-on the same dataset (see `expr.Node`).
+path, give.  Columns come from `eval_individual`, which reuses each tree's
+column while it is scored on the same dataset (see `expr.Node`).
 """
 from __future__ import annotations
 
@@ -27,8 +29,6 @@ import numpy as np
 
 from .dataset import Dataset, sq_distances
 from .expr import Individual, eval_individual
-
-_INF_BITS = int(np.array(np.inf).view(np.int64))
 
 
 def fractional_ranks(values: np.ndarray) -> np.ndarray:
@@ -85,15 +85,15 @@ def _row_correlations(ranks: np.ndarray, ident: np.ndarray) -> np.ndarray:
 @functools.cache
 def _rank_constants(width: int) -> tuple:
     """Read-only per-width constants of `_rank_correlations`: column indices,
-    the identity ranking as ints and as floats, its centred copy doubled into
-    ints, its sum of squares, and the untied numerator's offset."""
+    the identity ranking, its centred copy doubled into ints, its sum of
+    squares, and the untied numerator's offset."""
     columns = np.arange(width)
     ident = np.arange(1.0, width + 1.0)
     ic = ident - ident.mean()
     ident_ss = float((ic * ic).sum())
     centre = (width + 1) / 2.0
     offset = ident.sum() - width * centre * centre
-    arrays = (columns, columns + 1, ident, (2.0 * ic).astype(np.int64))
+    arrays = (columns, columns + 1, (2.0 * ic).astype(np.int64))
     for a in arrays:
         a.flags.writeable = False
     return (*arrays, ident_ss, offset)
@@ -109,31 +109,25 @@ def _rank_correlations(d2: np.ndarray) -> np.ndarray:
     that share their high bits has the inverse permutation as ranks, whose
     numerator ``sum_p (p+1)(order_p+1) - w((w+1)/2)^2`` and sum of squares
     (the identity's) are exact in float64.  A row in which two do ("near-tied",
-    which includes every exact tie) is ranked by `_tied_rank_correlations`;
-    one that holds a sign bit or a NaN payload goes through `fractional_ranks`.
+    which includes every exact tie) is ranked by `_tied_rank_correlations`.
     Either way rho is bitwise what `_row_correlations` gives for the averaged
-    ranks.
+    ranks.  `d2` must hold no sign bit and no NaN, as a sum of squares of
+    finite values does not.
     """
     width = d2.shape[1]
-    columns, ranks, ident, _, ident_ss, offset = _rank_constants(width)
+    columns, ranks, _, ident_ss, offset = _rank_constants(width)
     shift = (width - 1).bit_length()
     low = (1 << shift) - 1
     keys = d2.view(np.int64) & ~low  # == (bits >> shift) << shift
     keys |= columns
     keys.sort(axis=1)
     near_tied = ((keys[:, 1:] ^ keys[:, :-1]) <= low).any(axis=1)
-    # a sum of squares holds neither, but embedding_cost takes any array
-    reference = keys[:, 0] < 0  # a sign bit
-    reference |= keys[:, -1] > (_INF_BITS | low)  # a NaN payload in the high bits
-    near_tied &= ~reference
     keys &= low  # each row's argsort
     num = (keys @ ranks).astype(np.float64)
     num += offset
     rho = num / np.sqrt(ident_ss * ident_ss)
     if near_tied.any():
         rho[near_tied] = _tied_rank_correlations(d2[near_tied])
-    if reference.any():
-        rho[reference] = _row_correlations(fractional_ranks(d2[reference]), ident)
     return rho
 
 
@@ -149,7 +143,7 @@ def _tied_rank_correlations(d2: np.ndarray) -> np.ndarray:
     rho is bitwise the reference's; a row of one tie group gets 0.
     """
     rows, width = d2.shape
-    columns, _, _, ic2, ident_ss, _ = _rank_constants(width)
+    columns, _, ic2, ident_ss, _ = _rank_constants(width)
     bits = d2.view(np.int64)
     order = np.argsort(bits, axis=1)
     ordered = np.take_along_axis(bits, order, axis=1)
@@ -168,10 +162,17 @@ def embedding_cost(embedding: np.ndarray, neighbour_order: np.ndarray) -> float:
     """Mean (1 - spearman)/2 between input-order and embedding-order neighbours.
 
     Only the ranked pairs (i, neighbour_order[i, j]) get a distance, squared
-    and summed in column order as `dataset.sq_distances` documents.
+    and summed in column order as `dataset.sq_distances` documents.  Raises
+    ValueError unless the embedding is finite, (n, t), and n is `neighbour_order`'s.
     """
     E = np.asarray(embedding, dtype=np.float64)
+    if E.ndim != 2:
+        raise ValueError(f"embedding must be 2-D, got shape {E.shape}")
     n = E.shape[0]
+    if n != len(neighbour_order):
+        raise ValueError(f"embedding has {n} rows, the neighbour order {len(neighbour_order)}")
+    if not np.isfinite(E).all():
+        raise ValueError("embedding contains NaN or infinite values")
     width = neighbour_order.shape[1]
     if width < 2:
         rho = np.zeros(n)  # a single neighbour carries no ordering information

@@ -323,6 +323,16 @@ class TestScoreCommand:
         assert "baseline = 4.0" in out
         assert "individual complexity = 10.0" in out
 
+    def test_leading_utf8_bom_is_dropped(self, tmp_path, capsys):
+        text = "(add f0 f1)\n(mul (add f0 f1) f2)\n"
+        plain, marked = tmp_path / "plain.sexp", tmp_path / "marked.sexp"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+        assert main(["score", str(plain)]) == 0
+        want = capsys.readouterr().out
+        assert main(["score", str(marked)]) == 0
+        assert capsys.readouterr().out == want
+
     def test_empty_file_exits_one(self, tmp_path, capsys):
         path = tmp_path / "empty.sexp"
         path.write_text("", encoding="utf-8")
@@ -427,6 +437,18 @@ class TestEmbedCommand:
         assert exc.value.code == 2
         assert main(["score", str(trees), "--mu", "0.5"]) == 0
         assert main(run_args(tiny_csv, tmp_path / "o", extra=["--mu", "0.5"])) == 0
+
+    def test_config_file_with_leading_utf8_bom(self, tiny_csv, tmp_path):
+        trees = tmp_path / "trees.sexp"
+        trees.write_text("(add f0 f1)\n", encoding="utf-8")
+        cfg = tmp_path / "embed.cfg"
+        cfg.write_text(f"\ufeffdata.path = {tiny_csv}\ndata.label_col = cls\n",
+                       encoding="utf-8")
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        assert main(["embed", str(trees), "--data", tiny_csv, "--label-col", "cls",
+                     "--out", str(plain)]) == 0
+        assert main(["embed", str(trees), "--config", str(cfg), "--out", str(marked)]) == 0
+        assert marked.read_bytes() == plain.read_bytes()
 
     def test_embed_reads_config_resolved(self, tiny_csv, tmp_path):
         out = tmp_path / "run"

@@ -432,10 +432,10 @@ class TestRun:
 
 
 @pytest.fixture
-def fresh_heap_pad():
-    evolution.pad_heap_top.cache_clear()
+def fresh_heap_thresholds():
+    evolution.set_heap_thresholds.cache_clear()
     yield
-    evolution.pad_heap_top.cache_clear()
+    evolution.set_heap_thresholds.cache_clear()
 
 
 def _no_libc(name):
@@ -443,7 +443,10 @@ def _no_libc(name):
 
 
 class TestHeapTopPad:
-    def test_mallopt_called_once_per_process(self, small_dataset, monkeypatch, fresh_heap_pad):
+    """`set_heap_thresholds`: two `mallopt` calls, once per process, and no faults."""
+
+    def test_mallopt_called_once_per_process(self, small_dataset, monkeypatch,
+                                             fresh_heap_thresholds):
         calls = []
 
         def mallopt(param, value):
@@ -454,16 +457,17 @@ class TestHeapTopPad:
         config = EvolutionConfig(generations=1, population_size=8, moead_neighbourhood=4, seed=1)
         run(small_dataset, config)
         run(small_dataset, config)
-        assert calls == [(-2, 16 << 20), (-3, 32 << 20), (-1, 128 << 20)]
+        assert calls == [(-3, 32 << 20), (-1, 128 << 20)]
 
     @pytest.mark.parametrize("cdll", [_no_libc, lambda name: object()],
                              ids=["cdll-raises", "no-mallopt"])
-    def test_without_mallopt_does_nothing(self, small_dataset, monkeypatch, fresh_heap_pad,
-                                          cdll):
+    def test_without_mallopt_does_nothing(self, small_dataset, monkeypatch,
+                                          fresh_heap_thresholds, cdll):
         monkeypatch.setattr(ctypes, "CDLL", cdll)
         config = EvolutionConfig(generations=2, population_size=8, moead_neighbourhood=4, seed=1)
         assert len(run(small_dataset, config).telemetry) == 3
-        assert evolution.pad_heap_top.cache_info().misses == 1  # run called it, with the fake
+        # run called it, with the fake
+        assert evolution.set_heap_thresholds.cache_info().misses == 1
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap trimming")
     def test_cost_kernel_does_not_fault_freed_pages_back_in(self):
@@ -471,13 +475,19 @@ class TestHeapTopPad:
         config = "EvolutionConfig(generations=4, population_size=64, seed=1)"
         assert _faults_per_cost_call(ds, config) < 25  # 276 when glibc trims on every free
 
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap trimming")
+    def test_per_thread_arenas_do_not_fault_freed_pages_back_in(self):
+        ds = f"load_csv({WINE_CSV!r}, label_column='class')"
+        config = "EvolutionConfig(generations=4, population_size=64, seed=1, threads=2)"
+        assert _faults_per_cost_call(ds, config) < 25  # about 210-280 without the thresholds
+
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc mmap threshold")
     def test_wide_rows_do_not_map_temporaries_afresh(self):
         # 599 neighbours per row make 2.9 MB n*k temporaries, larger than any
-        # block loading freed; a frozen 128 KB mmap threshold maps each afresh
+        # block loading freed; under a lower mmap threshold glibc maps each afresh
         ds = "from_arrays(np.random.default_rng(0).normal(size=(600, 10)))"
         config = "EvolutionConfig(generations=1, population_size=8, moead_neighbourhood=4, seed=1)"
-        assert _faults_per_cost_call(ds, config) < 25  # about 6,000 with the 128 KB threshold
+        assert _faults_per_cost_call(ds, config) < 25  # about 4,200 with no setting
 
 
 def _faults_per_cost_call(dataset: str, config: str) -> float:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gpembed import expr
 from gpembed.dataset import from_arrays
@@ -12,11 +13,15 @@ from gpembed.evolution import _crossover
 from gpembed.expr import (
     FLOAT_MAX,
     MAX_TREE_DEPTH,
+    OPERATOR_TABLE,
+    OPERATORS,
+    PDIV_EPS,
     Individual,
     Node,
     TreeParseError,
     eval_individual,
     eval_tree,
+    eval_tree_matrix,
     get_subtree,
     max_feature_index,
     node_depth,
@@ -48,7 +53,26 @@ def random_trees(max_features=5):
     )
 
 
+TINY = float(np.finfo(np.float64).smallest_subnormal)
+# every finite float, weighted towards the values an operator could turn into
+# NaN or inf: signed zeros, subnormals, pdiv's threshold, and near-overflow
+EXTREME = st.one_of(
+    st.sampled_from([0.0, -0.0, TINY, -TINY, 1e-310, -1e-310, PDIV_EPS, -PDIV_EPS,
+                     float(np.nextafter(PDIV_EPS, 0.0)), 1e300, -1e300, FLOAT_MAX, -FLOAT_MAX]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
 class TestEval:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(OPERATORS),
+           arrays(np.float64, st.tuples(st.integers(1, 16), st.just(2)), elements=EXTREME))
+    def test_every_operator_keeps_finite_inputs_finite(self, op, X):
+        # `manifold_cost.embedding_cost` refuses non-finite embeddings, so a
+        # kernel that made NaN or inf from finite columns would stop a run
+        tree = Node.call(op, *(Node.leaf(f) for f in range(OPERATOR_TABLE[op].arity)))
+        assert np.isfinite(eval_tree_matrix(tree, X)).all()
+
     def test_add(self):
         assert eval_tree(parse("(add f0 f1)"), [2.0, 3.0]) == 5.0
 

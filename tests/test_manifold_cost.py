@@ -143,21 +143,6 @@ class TestRankKernel:
         order = shuffled_order(width + 1, width, width)
         assert embedding_cost(embedding, order) == reference_cost(embedding, order)
 
-    def test_sign_bits_and_nan_fall_back(self):
-        # never produced by a sum of squares, but the kernel must not misrank
-        # them: negative values, -0.0 and NaN payloads go through the reference
-        nan_lo = np.array(0x7FF0000000001000, dtype=np.int64).view(np.float64)
-        rows = np.array([
-            [-3.0, -1.0, -2.0, -0.5],
-            [0.0, -0.0, 1.0, 2.0],
-            [np.nan, 1.0, nan_lo, 2.0],
-            [-np.nan, 1.0, 3.0, 2.0],
-            [4.0, 1.0, 3.0, 2.0],
-        ])
-        ident = np.arange(1.0, 5.0)
-        want = _row_correlations(fractional_ranks(rows), ident)
-        assert np.array_equal(_rank_correlations(rows), want)
-
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from([2, 3, 5, 17, 129]).flatmap(tie_rows))
     def test_tied_path_equals_reference(self, d2):
@@ -174,6 +159,24 @@ class TestRankKernel:
         got = embedding_cost(embedding, order)
         want = brute_embedding_cost(embedding.tolist(), order.tolist())
         assert abs(got - want) <= 1e-12
+
+
+class TestEmbeddingCostInput:
+    ORDER = np.array([[1, 2], [0, 2], [1, 0]])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def test_non_finite_embedding_is_refused(self, value):
+        embedding = np.array([[0.0], [1.0], [value]])
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            embedding_cost(embedding, self.ORDER)
+
+    def test_one_dimensional_embedding_is_refused(self):
+        with pytest.raises(ValueError, match="must be 2-D"):
+            embedding_cost(np.array([0.0, 1.0, 3.0]), self.ORDER)
+
+    def test_row_count_mismatch_is_refused(self):
+        with pytest.raises(ValueError, match="4 rows, the neighbour order 3"):
+            embedding_cost(np.zeros((4, 2)), self.ORDER)
 
 
 class TestCost:
