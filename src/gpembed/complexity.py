@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .expr import FLOAT_MAX, OPERATOR_TABLE, Individual, Node
+from .expr import FLOAT_MAX, OPERATOR_TABLE, Individual, Node, memoized
 
 EXP_CAP_BITS = 64.0
 _BASELINE_EXP_LIMIT = 1023.0
@@ -154,17 +154,11 @@ def tree_complexity(tree: Node, model: CostModel = DEFAULT_COST_MODEL) -> TreeCo
 def individual_complexity(ind: Individual, model: CostModel = DEFAULT_COST_MODEL) -> float:
     """Sum of F(T) over the individual's trees, left to right.
 
-    Each tree keeps its F(T) in its `complexity_memo` and reuses it while it
-    is scored with that same model.
+    Each tree keeps its F(T) and reuses it while scored with that same model
+    (`expr.memoized`).
     """
-    return sum(_tree_value(t, model) for t in ind.trees)
-
-
-def _tree_value(tree: Node, model: CostModel) -> float:
-    memo = tree.complexity_memo
-    if memo is None or memo[0] is not model:
-        memo = tree.complexity_memo = (model, tree_complexity(tree, model).value)
-    return memo[1]
+    return sum(memoized(t, "complexity_memo", model, lambda: tree_complexity(t, model).value)
+               for t in ind.trees)
 
 
 def baseline_complexity(tree: Node) -> float:

@@ -21,13 +21,19 @@ class DatasetError(ValueError):
 
 @dataclass(frozen=True)
 class Dataset:
-    """Immutable numeric dataset; arrays are marked read-only at construction."""
+    """Immutable numeric dataset; its arrays are marked read-only when it is built,
+    as evaluation keeps each tree's column per Dataset (`expr.memoized`)."""
 
     instances: np.ndarray  # (n, m) float64, normalized
     labels: np.ndarray | None  # (n,) int class codes, or None
     label_names: tuple[str, ...] | None
     feature_names: tuple[str, ...]
     neighbour_order: np.ndarray  # (n, k) int, k = min(n - 1, max_neighbours)
+
+    def __post_init__(self):
+        for arr in (self.instances, self.labels, self.neighbour_order):
+            if arr is not None:
+                arr.setflags(write=False)
 
     @property
     def n_instances(self) -> int:
@@ -39,8 +45,12 @@ class Dataset:
 
 
 def normalize(matrix: np.ndarray) -> np.ndarray:
-    """Min-max scale each column to [0, 1]; constant columns map to zeros."""
+    """Min-max scale each column to [0, 1]; constant columns map to zeros, and a
+    column whose range overflows float64 (wider than FLOAT_MAX) is halved first."""
     X = np.asarray(matrix, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        wide = np.isinf(X.max(axis=0) - X.min(axis=0))
+    X = np.where(wide, X / 2.0, X)
     lo = X.min(axis=0)
     hi = X.max(axis=0)
     span = hi - lo
@@ -67,10 +77,11 @@ def sq_distances(points: np.ndarray, others: np.ndarray, index: np.ndarray) -> n
     shape = np.broadcast_shapes((P.shape[0], 1), np.shape(index))
     acc = np.zeros(shape)
     d = np.empty(shape)
-    for c in range(P.shape[1]):
-        np.subtract(P[:, c, None], O[:, c][index], out=d)
-        d *= d
-        acc += d
+    with np.errstate(over="ignore"):  # coordinates far apart give +inf, which ranks last
+        for c in range(P.shape[1]):
+            np.subtract(P[:, c, None], O[:, c][index], out=d)
+            d *= d
+            acc += d
     return acc
 
 
@@ -170,15 +181,12 @@ def from_arrays(
             raise DatasetError(f"got {len(feature_names)} feature names for {m} columns")
 
     norm = normalize(X)
-    order = neighbour_order(norm, max_neighbours=max_neighbours)
-    for arr in (norm, order) + ((label_codes,) if label_codes is not None else ()):
-        arr.setflags(write=False)
     return Dataset(
         instances=norm,
         labels=label_codes,
         label_names=label_names,
         feature_names=feature_names,
-        neighbour_order=order,
+        neighbour_order=neighbour_order(norm, max_neighbours=max_neighbours),
     )
 
 

@@ -190,9 +190,7 @@ def initialise(config: EvolutionConfig, dataset: Dataset, rng: np.random.Generat
     return population
 
 
-def _individual_valid(ind: Individual, config: EvolutionConfig, tree_cap: int) -> bool:
-    if not 2 <= len(ind.trees) <= tree_cap:
-        return False
+def _depths_valid(ind: Individual, config: EvolutionConfig) -> bool:
     return all(config.min_depth <= t.depth <= config.max_depth for t in ind.trees)
 
 
@@ -207,24 +205,22 @@ def _crossover(a: Individual, b: Individual, rng) -> Individual:
     return Individual(trees=a.trees[:i] + (new_tree,) + a.trees[i + 1 :])
 
 
-def _standard_mutation(a: Individual, config, rng, n_features) -> Individual | None:
+def _standard_mutation(a: Individual, config, rng, n_features) -> Individual:
     i = int(rng.integers(len(a.trees)))
     tree = a.trees[i]
     point = int(rng.integers(tree.size))
     at_depth = node_depth(tree, point)
     lo = config.min_depth if point == 0 else 0
-    hi = min(INIT_DEPTH_CAP, config.max_depth - at_depth)
-    if hi < lo:
-        return None
+    hi = min(INIT_DEPTH_CAP, config.max_depth - at_depth)  # >= lo for any valid parent
     target = int(rng.integers(lo, hi + 1))
     replacement = grow_subtree(n_features, lo, target, rng)
     new_tree = replace_subtree(tree, point, replacement)
     return Individual(trees=a.trees[:i] + (new_tree,) + a.trees[i + 1 :])
 
 
-def _tree_mutation(a: Individual, config, rng, n_features, tree_cap) -> Individual | None:
+def _tree_mutation(a: Individual, config, rng, n_features) -> Individual | None:
     want_add = rng.random() < 0.5
-    can_add = len(a.trees) < tree_cap
+    can_add = len(a.trees) < max_trees(n_features)
     can_remove = len(a.trees) > 2
     if want_add:
         action = "add" if can_add else ("remove" if can_remove else None)
@@ -248,12 +244,12 @@ def vary(
     rng: np.random.Generator,
     n_features: int,
 ) -> Individual:
-    """One offspring via crossover / subtree mutation / add-remove-tree.
+    """One offspring of valid parents via crossover / subtree mutation / add-remove-tree.
 
-    Offspring violating the depth or tree-count bounds trigger a fresh
-    attempt, up to 10; after that the offspring is parent_a itself.
+    Each keeps the tree count in [2, max_trees]; an offspring outside the depth
+    bounds, or no possible tree mutation, triggers a fresh attempt, up to 10;
+    after that the offspring is parent_a itself.
     """
-    tree_cap = max_trees(n_features)
     for _ in range(10):
         u = rng.random()
         if u < config.p_crossover:
@@ -261,8 +257,8 @@ def vary(
         elif u < config.p_crossover + config.p_standard_mutation:
             child = _standard_mutation(parent_a, config, rng, n_features)
         else:
-            child = _tree_mutation(parent_a, config, rng, n_features, tree_cap)
-        if child is not None and _individual_valid(child, config, tree_cap):
+            child = _tree_mutation(parent_a, config, rng, n_features)
+        if child is not None and _depths_valid(child, config):
             return child
     return parent_a
 

@@ -67,9 +67,9 @@ class Node:
     offspring re-scores only the trees it does not share with its parent:
     `column_memo` is ``(dataset, column)`` from `eval_individual` and
     `complexity_memo` is ``(cost_model, value)`` from
-    `complexity.individual_complexity`.  Each is reused only for the very
-    object it names (``memo[0] is ...``); holding that reference keeps the
-    object's identity from being recycled.  A third, `text_memo`, holds
+    `complexity.individual_complexity`, both filled by `memoized`.  Each is
+    reused only for the very object it names; holding that reference keeps
+    the object's identity from being recycled.  A third, `text_memo`, holds
     `serialize`'s text once it is asked for.  None takes part in equality.
     """
 
@@ -176,13 +176,17 @@ def eval_individual(ind: Individual, data) -> np.ndarray:
     if not hasattr(data, "instances"):
         X = np.asarray(data, dtype=np.float64)
         return np.column_stack([eval_tree_matrix(t, X) for t in ind.trees])
-    return np.column_stack([_dataset_column(t, data) for t in ind.trees])
+    X = data.instances
+    return np.column_stack(
+        [memoized(t, "column_memo", data, lambda: eval_tree_matrix(t, X)) for t in ind.trees])
 
 
-def _dataset_column(tree: Node, dataset) -> np.ndarray:
-    memo = tree.column_memo
-    if memo is None or memo[0] is not dataset:
-        memo = tree.column_memo = (dataset, eval_tree_matrix(tree, dataset.instances))
+def memoized(tree: Node, slot: str, owner, compute: Callable[[], object]):
+    """``compute()``, kept in `tree`'s cache `slot` as ``(owner, value)`` and
+    reused only while it is asked for with that very `owner` (see `Node`)."""
+    memo = getattr(tree, slot)
+    if memo is None or memo[0] is not owner:
+        setattr(tree, slot, memo := (owner, compute()))
     return memo[1]
 
 

@@ -32,28 +32,15 @@ from .expr import Individual, eval_individual
 
 
 def fractional_ranks(values: np.ndarray) -> np.ndarray:
-    """Row-wise ranks starting at 1, with tied values sharing the average rank."""
+    """Row-wise ranks starting at 1, with tied values sharing the average rank:
+    the plain reference that the rank kernel is checked against."""
     v = np.asarray(values, dtype=np.float64)
-    squeeze = v.ndim == 1
-    if squeeze:
-        v = v[None, :]
-    n, width = v.shape
-    order = np.argsort(v, axis=1, kind="stable")
-    sorted_vals = np.take_along_axis(v, order, axis=1)
-    # flatten so tie groups can be averaged with one reduceat; groups never
-    # span rows because every row starts a new group
-    new_group = np.ones((n, width), dtype=bool)
-    new_group[:, 1:] = sorted_vals[:, 1:] != sorted_vals[:, :-1]
-    flat_new = new_group.ravel()
-    starts = np.flatnonzero(flat_new)
-    counts = np.diff(np.append(starts, n * width))
-    positions = np.arange(n * width, dtype=np.float64) % width
-    group_rank = np.add.reduceat(positions, starts) / counts + 1.0
-    group_ids = np.cumsum(flat_new) - 1
-    ranks_in_sorted_order = group_rank[group_ids].reshape(n, width)
-    ranks = np.empty_like(ranks_in_sorted_order)
-    np.put_along_axis(ranks, order, ranks_in_sorted_order, axis=1)
-    return ranks[0] if squeeze else ranks
+    rows = np.atleast_2d(v)
+    ranks = np.empty(rows.shape)
+    for row, out in zip(rows, ranks):
+        s = np.sort(row)  # with i entries below it and j at most it, a value holds ranks i+1..j
+        out[:] = (np.searchsorted(s, row, "left") + np.searchsorted(s, row, "right") + 1) / 2
+    return ranks.reshape(v.shape)
 
 
 def spearman(ranks_a, ranks_b) -> float:

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,12 +9,14 @@ from hypothesis.extra.numpy import arrays
 
 from gpembed.dataset import (
     ROW_BLOCK,
+    Dataset,
     DatasetError,
     from_arrays,
     load_csv,
     neighbour_order,
     normalize,
 )
+from gpembed.expr import FLOAT_MAX
 from gpembed.manifold_cost import embedding_cost
 from oracles import brute_neighbour_order
 
@@ -45,13 +48,25 @@ class TestNormalize:
         arrays(
             np.float64,
             st.tuples(st.integers(2, 10), st.integers(1, 5)),
-            elements=st.floats(-1e9, 1e9, allow_nan=False),
+            elements=st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                               st.sampled_from([-FLOAT_MAX, FLOAT_MAX])),
         )
     )
     def test_output_always_in_unit_interval(self, X):
-        out = normalize(X)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = normalize(X)
         assert out.min() >= 0.0
         assert out.max() <= 1.0
+
+    def test_column_wider_than_float_max(self):
+        # max - min overflows: that column is halved first, the other one is untouched
+        X = np.array([[1e308, 0.37], [-1e308, 1.21], [0.0, 9.9]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = normalize(X)
+        assert out[:, 0].tolist() == [1.0, 0.0, 0.5]
+        assert np.array_equal(out[:, 1], normalize(X[:, 1:])[:, 0])
 
 
 class TestNeighbourOrder:
@@ -230,6 +245,17 @@ class TestLoadCsv:
 
 
 class TestFromArrays:
+    def test_dataset_built_directly_is_read_only(self):
+        # a tree's column is cached per Dataset, so its arrays must not change
+        X = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
+        labels = np.array([0, 1, 1])
+        order = neighbour_order(X)
+        ds = Dataset(X, labels, ("a", "b"), ("x", "y"), order)
+        assert not any(a.flags.writeable for a in (ds.instances, ds.labels, ds.neighbour_order))
+        with pytest.raises(ValueError):
+            X[0, 0] = 10.0
+        assert Dataset(X, None, None, ("x", "y"), order).labels is None
+
     def test_rejects_nan(self):
         with pytest.raises(DatasetError, match="NaN or infinite"):
             from_arrays([[0.0, np.nan], [1.0, 2.0]])

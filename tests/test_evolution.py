@@ -177,19 +177,29 @@ class TestArchive:
         }
 
 
+def assert_offspring_valid(config, dataset, calls):
+    m = dataset.n_features
+    rng = derive_rng(0, 2)
+    parents = initialise(config, dataset, derive_rng(0, 1))
+    for i in range(calls):
+        pa = parents[i % len(parents)]
+        pb = parents[(i * 7 + 3) % len(parents)]
+        child = vary(pa, pb, config, rng, m)
+        assert 2 <= len(child.trees) <= max_trees(m)
+        for tree in child.trees:
+            assert config.min_depth <= tree.depth <= config.max_depth
+
+
 class TestVary:
     def test_offspring_always_valid(self, small_dataset):
-        config = small_config(population_size=8, seed=0)
-        m = small_dataset.n_features
-        rng = derive_rng(0, 2)
-        parents = initialise(config, small_dataset, derive_rng(0, 1))
-        for i in range(10_000):
-            pa = parents[i % len(parents)]
-            pb = parents[(i * 7 + 3) % len(parents)]
-            child = vary(pa, pb, config, rng, m)
-            assert 2 <= len(child.trees) <= max_trees(m)
-            for tree in child.trees:
-                assert config.min_depth <= tree.depth <= config.max_depth
+        assert_offspring_valid(small_config(population_size=8, seed=0), small_dataset, 10_000)
+
+    @pytest.mark.parametrize("min_depth, max_depth", [(1, 6), (6, 6), (1, 200)])
+    def test_offspring_always_valid_at_depth_bounds(self, small_dataset, min_depth, max_depth):
+        # vary checks neither the tree count nor a subtree mutation's depth
+        # range: valid parents cannot leave them, at any depth bounds
+        config = small_config(population_size=8, seed=0, min_depth=min_depth, max_depth=max_depth)
+        assert_offspring_valid(config, small_dataset, 5_000)
 
     def test_crossover_changes_at_most_one_tree(self, small_dataset):
         config = small_config(
