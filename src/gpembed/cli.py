@@ -140,20 +140,19 @@ def _fields(values: dict[str, object], section: str) -> dict[str, object]:
 
 
 def _named(exc: ValueError, section: str) -> ConfigError:
-    """`exc` naming each field of the `<section>.*` keys by its key and flag, e.g.
-    "evo.population (--population)"; a quoted value is left as it was typed."""
+    """`exc`, which a setting object raised, naming each field of the
+    `<section>.*` keys by its key and flag, e.g. "evo.population (--population)"."""
     names = {setting.field: f"{key} (--{setting.dest.replace('_', '-')})"
              for key, setting in CONFIG_SCHEMA.items()
              if setting.field and key.startswith(section + ".")}
-    quoted = r"""'(?:\\.|[^'\\])*'|"(?:\\.|[^"\\])*"|"""  # a repr of what the user typed
-    return ConfigError(re.sub(quoted + r"\b(?:" + "|".join(names) + r")\b",
-                              lambda m: names.get(m.group(), m.group()), str(exc)))
+    return ConfigError(re.sub(r"\b(?:" + "|".join(names) + r")\b",
+                              lambda m: names[m.group()], str(exc)))
 
 
 def build_cost_model(values: dict[str, object]) -> CostModel:
+    set_costs = {op: CostClass.from_string(values[f"cost.{op}"])
+                 for op in OPERATORS if values[f"cost.{op}"] is not None}
     try:
-        set_costs = {op: CostClass.from_string(values[f"cost.{op}"])
-                     for op in OPERATORS if values[f"cost.{op}"] is not None}
         return CostModel({**DEFAULT_OPERATOR_COSTS, **set_costs}, **_fields(values, "cost"))
     except ValueError as exc:
         raise _named(exc, "cost") from None

@@ -23,8 +23,10 @@ to the power of their first child's value.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
+from types import MappingProxyType
 
 from .expr import FLOAT_MAX, OPERATOR_TABLE, Individual, Node, memoized
 
@@ -54,11 +56,9 @@ DEFAULT_OPERATOR_COSTS: dict[str, CostClass] = {
 
 @dataclass(frozen=True)
 class CostModel:
-    """Operator cost classes plus the scaling and leaf parameters."""
+    """Operator cost classes, held read-only, plus the scaling and leaf parameters."""
 
-    operator_costs: dict[str, CostClass] = field(
-        default_factory=lambda: dict(DEFAULT_OPERATOR_COSTS)
-    )
+    operator_costs: Mapping[str, CostClass] = field(default_factory=lambda: DEFAULT_OPERATOR_COSTS)
     mu: float = 0.75
     size_max: int = 100
     leaf_complexity: float = 1.0
@@ -78,6 +78,10 @@ class CostModel:
         missing = [op for op in OPERATOR_TABLE if op not in self.operator_costs]
         if missing:
             raise ValueError(f"cost model has no cost class for {', '.join(missing)}")
+        object.__setattr__(self, "operator_costs", MappingProxyType(dict(self.operator_costs)))
+
+    def __reduce__(self):  # copied and pickled from a dict, as a mappingproxy is neither
+        return CostModel, (dict(self.operator_costs), self.mu, self.size_max, self.leaf_complexity)
 
 
 DEFAULT_COST_MODEL = CostModel()

@@ -21,8 +21,8 @@ class DatasetError(ValueError):
 
 @dataclass(frozen=True)
 class Dataset:
-    """Immutable numeric dataset; its arrays are marked read-only when it is built,
-    as evaluation keeps each tree's column per Dataset (`expr.memoized`)."""
+    """Immutable numeric dataset; its arrays (copies, if given views) are read-only
+    from when it is built, as evaluation keeps each tree's column per Dataset."""
 
     instances: np.ndarray  # (n, m) float64, normalized
     labels: np.ndarray | None  # (n,) int class codes, or None
@@ -31,8 +31,11 @@ class Dataset:
     neighbour_order: np.ndarray  # (n, k) int, k = min(n - 1, max_neighbours)
 
     def __post_init__(self):
-        for arr in (self.instances, self.labels, self.neighbour_order):
+        for name in ("instances", "labels", "neighbour_order"):
+            arr = getattr(self, name)
             if arr is not None:
+                if arr.base is not None:  # a view would change with the array it views
+                    object.__setattr__(self, name, arr := arr.copy())
                 arr.setflags(write=False)
 
     @property
@@ -127,6 +130,7 @@ def neighbour_order(instances: np.ndarray, max_neighbours: int | None = None) ->
     for lo in range(0, n, ROW_BLOCK):
         rows = everyone[lo:lo + ROW_BLOCK]
         d2 = sq_distances(X[rows], X, everyone)
+        d2[np.arange(rows.shape[0]), rows] = -1.0  # self sorts first, before any duplicate
         if k + 1 < n:
             # only the k + 1 nearest, self included, can be listed: select
             # them exactly, then sort just those
@@ -136,11 +140,7 @@ def neighbour_order(instances: np.ndarray, max_neighbours: int | None = None) ->
             order = np.take_along_axis(near, by_distance, axis=1)
         else:
             order = np.argsort(d2, axis=1, kind="stable")
-        # drop the self column wherever the stable sort placed it; self is
-        # missing from the k + 1 nearest only behind k + 1 lower-index duplicates
-        drop = order == rows[:, None]
-        drop[~drop.any(axis=1), -1] = True
-        out[rows] = order[~drop].reshape(rows.shape[0], k)
+        out[rows] = order[:, 1:]
     return out
 
 

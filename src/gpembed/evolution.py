@@ -173,7 +173,8 @@ def tchebycheff(objectives, weights, ideal, nadir) -> float:
 
 
 def initialise(config: EvolutionConfig, dataset: Dataset, rng: np.random.Generator) -> list[Individual]:
-    """Ramped population: depths cycle over the ramp, grow and full alternate."""
+    """Ramped population of full trees: depths cycle over the ramp, and "grow" alternates
+    with "full" but, at its one fixed depth, builds the same tree from the same draws."""
     m = dataset.n_features
     ramp = list(range(config.min_depth, INIT_DEPTH_CAP + 1))
     population = []
@@ -219,6 +220,7 @@ def _standard_mutation(a: Individual, config, rng, n_features) -> Individual:
 
 
 def _tree_mutation(a: Individual, config, rng, n_features) -> Individual | None:
+    """`a` with a tree removed or a full tree of a random ramp depth added; None if neither fits."""
     want_add = rng.random() < 0.5
     can_add = len(a.trees) < max_trees(n_features)
     can_remove = len(a.trees) > 2

@@ -16,10 +16,11 @@ matching the neighbour order (tree evaluation saturates every node, so a run
 never makes one), then sorts each row once, as integer keys that carry each
 distance's column (`_rank_correlations`), and takes an untied row's rho
 straight from that permutation in exact arithmetic; rows whose keys come
-close to a tie are ranked again, in integers, by their bit patterns.  Both
-are bitwise what `fractional_ranks` and `_row_correlations`, the reference
-path, give.  Columns come from `eval_individual`, which reuses each tree's
-column while it is scored on the same dataset (see `expr.Node`).
+close to a tie get averaged ranks from their bit patterns and go through
+`_row_correlations`.  Both are bitwise what `fractional_ranks` and
+`_row_correlations`, the reference path, give.  Columns come from
+`eval_individual`, which reuses each tree's column while it is scored on the
+same dataset (see `expr.Node`).
 """
 from __future__ import annotations
 
@@ -72,18 +73,17 @@ def _row_correlations(ranks: np.ndarray, ident: np.ndarray) -> np.ndarray:
 @functools.cache
 def _rank_constants(width: int) -> tuple:
     """Read-only per-width constants of `_rank_correlations`: column indices,
-    the identity ranking, its centred copy doubled into ints, its sum of
-    squares, and the untied numerator's offset."""
+    the identity ranking, its sum of squares about its mean, and the untied
+    numerator's offset."""
     columns = np.arange(width)
     ident = np.arange(1.0, width + 1.0)
     ic = ident - ident.mean()
     ident_ss = float((ic * ic).sum())
     centre = (width + 1) / 2.0
     offset = ident.sum() - width * centre * centre
-    arrays = (columns, columns + 1, (2.0 * ic).astype(np.int64))
-    for a in arrays:
+    for a in (columns, ident):
         a.flags.writeable = False
-    return (*arrays, ident_ss, offset)
+    return columns, ident, ident_ss, offset
 
 
 def _rank_correlations(d2: np.ndarray) -> np.ndarray:
@@ -95,14 +95,14 @@ def _rank_correlations(d2: np.ndarray) -> np.ndarray:
     sorted key give the row's argsort.  Every row without two adjacent keys
     that share their high bits has the inverse permutation as ranks, whose
     numerator ``sum_p (p+1)(order_p+1) - w((w+1)/2)^2`` and sum of squares
-    (the identity's) are exact in float64.  A row in which two do ("near-tied",
-    which includes every exact tie) is ranked by `_tied_rank_correlations`.
-    Either way rho is bitwise what `_row_correlations` gives for the averaged
-    ranks.  `d2` must hold no sign bit and no NaN, as a sum of squares of
-    finite values does not.
+    (the identity's) are exact in float64, so rho is bitwise what
+    `_row_correlations` gives.  A row in which two do ("near-tied", which
+    includes every exact tie) goes through `_row_correlations` itself, with
+    the averaged ranks of `_tied_rank_correlations`.  `d2` must hold no sign
+    bit and no NaN, as a sum of squares of finite values does not.
     """
     width = d2.shape[1]
-    columns, ranks, _, ident_ss, offset = _rank_constants(width)
+    columns, ident, ident_ss, offset = _rank_constants(width)
     shift = (width - 1).bit_length()
     low = (1 << shift) - 1
     keys = d2.view(np.int64) & ~low  # == (bits >> shift) << shift
@@ -110,7 +110,7 @@ def _rank_correlations(d2: np.ndarray) -> np.ndarray:
     keys.sort(axis=1)
     near_tied = ((keys[:, 1:] ^ keys[:, :-1]) <= low).any(axis=1)
     keys &= low  # each row's argsort
-    num = (keys @ ranks).astype(np.float64)
+    num = keys @ ident  # in float64, exact while a row's sum stays below 2**53
     num += offset
     rho = num / np.sqrt(ident_ss * ident_ss)
     if near_tied.any():
@@ -119,18 +119,15 @@ def _rank_correlations(d2: np.ndarray) -> np.ndarray:
 
 
 def _tied_rank_correlations(d2: np.ndarray) -> np.ndarray:
-    """`_row_correlations(fractional_ranks(d2), ident)` for rows of non-negative,
-    non-NaN values, in integer arithmetic.
+    """`_row_correlations(fractional_ranks(d2), ident)` for a non-negative, non-NaN `d2`.
 
     One unstable argsort of the bit patterns orders each row; equal patterns
     are equal values, and a tie group at sorted positions ``s..e`` shares the
-    doubled average rank ``s + e + 2`` whatever order the sort left it in.  With
-    the doubled centred ranks ``c2`` the numerator is ``sum(c2 * ic2) / 4`` and
-    the row's sum of squares ``sum(c2^2) / 4``, both exact multiples of 1/4, so
-    rho is bitwise the reference's; a row of one tie group gets 0.
+    average rank ``(s + e + 2) / 2`` whatever order the sort left it in.  These
+    ranks are exact halves, the ones `fractional_ranks` gives.
     """
     rows, width = d2.shape
-    columns, _, ic2, ident_ss, _ = _rank_constants(width)
+    columns, ident, _, _ = _rank_constants(width)
     bits = d2.view(np.int64)
     order = np.argsort(bits, axis=1)
     ordered = np.take_along_axis(bits, order, axis=1)
@@ -138,11 +135,9 @@ def _tied_rank_correlations(d2: np.ndarray) -> np.ndarray:
     tie[:, 1:-1] = ordered[:, 1:] == ordered[:, :-1]
     first = np.maximum.accumulate(np.where(tie[:, :-1], 0, columns), axis=1)
     last = np.minimum.accumulate(np.where(tie[:, 1:], width - 1, columns)[:, ::-1], axis=1)
-    c2 = first + last[:, ::-1] + (1 - width)
-    num = (c2 * ic2[order]).sum(axis=1) / 4.0
-    row_ss = (c2 * c2).sum(axis=1) / 4.0
-    denom = np.sqrt(row_ss * ident_ss)
-    return np.divide(num, denom, out=np.zeros(rows), where=denom > 0.0)
+    ranks = np.empty((rows, width))
+    np.put_along_axis(ranks, order, (first + last[:, ::-1] + 2) / 2, axis=1)
+    return _row_correlations(ranks, ident)
 
 
 def embedding_cost(embedding: np.ndarray, neighbour_order: np.ndarray) -> float:

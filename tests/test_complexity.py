@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -288,6 +292,28 @@ class TestCostModel:
                                           "mul": CostClass.SUM})
         assert model.operator_costs["mul"] is CostClass.SUM
         assert DEFAULT_COST_MODEL.operator_costs["mul"] is CostClass.PROD
+
+    def test_operator_costs_cannot_change_in_place(self):
+        # each tree keeps its complexity per CostModel, so the classes must not change
+        trees = Individual(trees=(parse("(add f0 f1)"), parse("(sub f0 f1)")))
+        model = CostModel()
+        before = individual_complexity(trees, model)
+        with pytest.raises(TypeError):
+            model.operator_costs["add"] = CostClass.EXP
+        assert individual_complexity(trees, model) == before
+
+    def test_copies_pickles_and_replaces_with_read_only_costs(self):
+        model = CostModel(operator_costs={**DEFAULT_COST_MODEL.operator_costs,
+                                          "mul": CostClass.SUM}, mu=0.6)
+        copies = [copy.deepcopy(model), copy.copy(model), pickle.loads(pickle.dumps(model))]
+        for other in copies:
+            assert other == model
+        replaced = dataclasses.replace(model, mu=0.5)
+        assert (replaced.mu, replaced.operator_costs) == (0.5, model.operator_costs)
+        for other in (*copies, replaced):
+            with pytest.raises(TypeError):
+                other.operator_costs["add"] = CostClass.EXP
+        assert CostModel() == DEFAULT_COST_MODEL
 
     def test_validation(self):
         with pytest.raises(ValueError):

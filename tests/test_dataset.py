@@ -16,7 +16,7 @@ from gpembed.dataset import (
     neighbour_order,
     normalize,
 )
-from gpembed.expr import FLOAT_MAX
+from gpembed.expr import FLOAT_MAX, Individual, eval_individual, parse
 from gpembed.manifold_cost import embedding_cost
 from oracles import brute_neighbour_order
 
@@ -255,6 +255,16 @@ class TestFromArrays:
         with pytest.raises(ValueError):
             X[0, 0] = 10.0
         assert Dataset(X, None, None, ("x", "y"), order).labels is None
+
+    def test_dataset_built_on_a_view_does_not_change_with_its_base(self):
+        base = np.ones((3, 3))
+        X = base[:, :2]
+        ds = Dataset(X, None, None, ("x", "y"), neighbour_order(X))
+        ind = Individual(trees=(parse("(add f0 f1)"),))
+        assert eval_individual(ind, ds)[:, 0].tolist() == [2.0, 2.0, 2.0]
+        base[0, 0] = 10.0
+        assert ds.instances.tolist() == [[1.0, 1.0]] * 3
+        assert eval_individual(ind, ds)[:, 0].tolist() == [2.0, 2.0, 2.0]
 
     def test_rejects_nan(self):
         with pytest.raises(DatasetError, match="NaN or infinite"):
