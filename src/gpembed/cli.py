@@ -74,12 +74,7 @@ CONFIG_SCHEMA: dict[str, Setting] = {
 
 def parse_config_file(path) -> dict[str, object]:
     values: dict[str, object] = {}
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    for line_no, raw in enumerate(lines, start=1):
+    for line_no, raw in enumerate(_read_lines(path, "config"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -92,6 +87,15 @@ def parse_config_file(path) -> dict[str, object]:
             raise ConfigError(f"{path}:{line_no}: unknown config key {key!r}")
         values[key] = _coerce(key, value)
     return values
+
+
+def _read_lines(path, kind: str) -> list[str]:
+    """The lines of a user's `kind` file, read as UTF-8 less any leading BOM."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            return fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {kind} file {path}: {exc}") from exc
 
 
 def _coerce(key: str, value: str):
@@ -117,7 +121,7 @@ def parse_cost_set(text: str) -> dict[str, str]:
 
 def resolve_config(args: argparse.Namespace) -> dict[str, object]:
     values = {key: setting.default for key, setting in CONFIG_SCHEMA.items()}
-    if getattr(args, "config", None):
+    if args.config:
         values.update(parse_config_file(args.config))
     for key, setting in CONFIG_SCHEMA.items():
         if setting.dest and getattr(args, setting.dest, None) is not None:
@@ -130,39 +134,35 @@ def resolve_config(args: argparse.Namespace) -> dict[str, object]:
     return values
 
 
-def _fields(values: dict[str, object], section: str) -> dict[str, object]:
-    """The keywords that the `<section>.*` keys fill, with their values."""
-    return {
-        setting.field: values[key]
-        for key, setting in CONFIG_SCHEMA.items()
-        if setting.field and key.startswith(section + ".")
-    }
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
 
 
-def _named(exc: ValueError, section: str) -> ConfigError:
-    """`exc`, which a setting object raised, naming each field of the
-    `<section>.*` keys by its key and flag, e.g. "evo.population (--population)"."""
-    names = {setting.field: f"{key} (--{setting.dest.replace('_', '-')})"
-             for key, setting in CONFIG_SCHEMA.items()
-             if setting.field and key.startswith(section + ".")}
-    return ConfigError(re.sub(r"\b(?:" + "|".join(names) + r")\b",
-                              lambda m: names[m.group()], str(exc)))
+def _label(key: str) -> str:
+    """A setting as errors name it, by key and flag, e.g. "evo.population (--population)"."""
+    return f"{key} ({_flag(CONFIG_SCHEMA[key].dest)})"
+
+
+def _build(section: str, make, values: dict[str, object], *args):
+    """``make(*args, **fields)``, each field filled from its `<section>.*` key;
+    a ValueError it raises names each such field by its `_label`."""
+    keys = {setting.field: key for key, setting in CONFIG_SCHEMA.items()
+            if setting.field and key.startswith(section + ".")}
+    try:
+        return make(*args, **{field: values[key] for field, key in keys.items()})
+    except ValueError as exc:
+        raise ConfigError(re.sub(r"\b(?:" + "|".join(keys) + r")\b",
+                                 lambda m: _label(keys[m.group()]), str(exc))) from None
 
 
 def build_cost_model(values: dict[str, object]) -> CostModel:
     set_costs = {op: CostClass.from_string(values[f"cost.{op}"])
                  for op in OPERATORS if values[f"cost.{op}"] is not None}
-    try:
-        return CostModel({**DEFAULT_OPERATOR_COSTS, **set_costs}, **_fields(values, "cost"))
-    except ValueError as exc:
-        raise _named(exc, "cost") from None
+    return _build("cost", CostModel, values, {**DEFAULT_OPERATOR_COSTS, **set_costs})
 
 
 def build_evolution_config(values: dict[str, object]) -> evolution.EvolutionConfig:
-    try:
-        return evolution.EvolutionConfig(**_fields(values, "evo"))
-    except ValueError as exc:
-        raise _named(exc, "evo") from None
+    return _build("evo", evolution.EvolutionConfig, values)
 
 
 def resolved_text(values: dict[str, object]) -> str:
@@ -183,11 +183,7 @@ def resolved_text(values: dict[str, object]) -> str:
 
 
 def _load_trees(path) -> Individual:
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            lines = [line.strip() for line in fh]
-    except OSError as exc:
-        raise ConfigError(f"cannot read tree file {path}: {exc}") from exc
+    lines = [line.strip() for line in _read_lines(path, "tree")]
     trees = tuple(parse(line) for line in lines if line)
     if not trees:
         raise ConfigError(f"{path}: no trees found")
@@ -205,17 +201,14 @@ def cmd_run(args) -> int:
     cost_model = build_cost_model(values)
     config = build_evolution_config(values)
     k, folds, nbrs = values["eval.k"], values["eval.folds"], values["cost.max_neighbours"]
-    if k < 1:
-        raise ConfigError(f"eval.k (--k) must be >= 1, got {k}")
-    if nbrs is not None and nbrs < 1:
-        raise ConfigError(f"cost.max_neighbours (--max-neighbours) must be >= 1, got {nbrs}")
-    if folds < 2:
-        raise ConfigError(f"eval.folds (--folds) must be >= 2, got {folds}")
+    for key, least in (("eval.k", 1), ("cost.max_neighbours", 1), ("eval.folds", 2)):
+        if values[key] is not None and values[key] < least:
+            raise ConfigError(f"{_label(key)} must be >= {least}, got {values[key]}")
     resolved = resolved_text(values)  # refused before any file I/O if not replayable
     dataset = load_csv(_data_path(values), values["data.label_col"], max_neighbours=nbrs)
     if dataset.labels is not None and folds > dataset.n_instances:
         raise ConfigError(
-            f"eval.folds (--folds) = {folds} exceeds the {dataset.n_instances} instances"
+            f"{_label('eval.folds')} = {folds} exceeds the {dataset.n_instances} instances"
         )
 
     out_dir = values["out.dir"]
@@ -284,7 +277,7 @@ def _add_flags(sub: argparse.ArgumentParser, command: str) -> None:
     for setting in CONFIG_SCHEMA.values():
         if command in setting.commands:
             sub.add_argument(
-                "--" + setting.dest.replace("_", "-"),
+                _flag(setting.dest),
                 dest=setting.dest,
                 type=None if setting.kind is str else setting.kind,
                 help=setting.help,

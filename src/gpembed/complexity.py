@@ -70,6 +70,8 @@ class CostModel:
             raise ValueError(f"size_max must be >= 1, got {self.size_max}")
         if not 0.0 < self.leaf_complexity <= FLOAT_MAX:
             raise ValueError(f"leaf_complexity must be > 0 and finite, got {self.leaf_complexity}")
+        if self.leaf_complexity > 2.0 ** EXP_CAP_BITS:  # so that no sum or product overflows
+            raise ValueError(f"leaf_complexity must be at most 2**64, got {self.leaf_complexity}")
         for op, cls in self.operator_costs.items():
             if op not in OPERATOR_TABLE:
                 raise ValueError(f"cost assigned to unknown operator {op!r}")

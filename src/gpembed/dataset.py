@@ -10,6 +10,7 @@ coordinate differences in column order, as the test oracles do.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -194,54 +195,54 @@ def read_csv(path, label_column: str | None = None):
     """Parse and check a headered CSV of real numbers, with an optional label
     column; returns ``(matrix, labels, feature_names)``, labels None without one."""
     try:
-        fh = open(path, newline="", encoding="utf-8-sig")  # drops a leading BOM
-    except OSError as exc:
+        with open(path, newline="", encoding="utf-8-sig") as fh:  # drops a leading BOM
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise DatasetError(f"cannot open {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetError(f"{path}: file is empty") from None
-        header = [h.strip() for h in header]
-        if len(set(header)) != len(header):
-            dupes = sorted({h for h in header if header.count(h) > 1})
-            raise DatasetError(f"{path}: duplicate column names {dupes}")
-        if label_column is not None:
-            if label_column not in header:
-                raise DatasetError(f"{path}: no column named {label_column!r}")
-            label_idx = header.index(label_column)
-        else:
-            label_idx = None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DatasetError(f"{path}: file is empty") from None
+    header = [h.strip() for h in header]
+    if len(set(header)) != len(header):
+        dupes = sorted({h for h in header if header.count(h) > 1})
+        raise DatasetError(f"{path}: duplicate column names {dupes}")
+    if label_column is not None:
+        if label_column not in header:
+            raise DatasetError(f"{path}: no column named {label_column!r}")
+        label_idx = header.index(label_column)
+    else:
+        label_idx = None
 
-        rows: list[list[float]] = []
-        labels: list[str] = []
-        for row_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
+    rows: list[list[float]] = []
+    labels: list[str] = []
+    for row_no, row in enumerate(reader, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != len(header):
+            raise DatasetError(
+                f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}"
+            )
+        values = []
+        for col_idx, cell in enumerate(row):
+            if col_idx == label_idx:
+                labels.append(cell.strip())
                 continue
-            if len(row) != len(header):
+            try:
+                value = float(cell)
+            except ValueError:
                 raise DatasetError(
-                    f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}"
+                    f"{path}: row {row_no}, column {header[col_idx]!r}: "
+                    f"cannot parse {cell.strip()!r} as a number"
+                ) from None
+            if not np.isfinite(value):
+                raise DatasetError(
+                    f"{path}: row {row_no}, column {header[col_idx]!r}: "
+                    f"non-finite value {cell.strip()!r}"
                 )
-            values = []
-            for col_idx, cell in enumerate(row):
-                if col_idx == label_idx:
-                    labels.append(cell.strip())
-                    continue
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise DatasetError(
-                        f"{path}: row {row_no}, column {header[col_idx]!r}: "
-                        f"cannot parse {cell.strip()!r} as a number"
-                    ) from None
-                if not np.isfinite(value):
-                    raise DatasetError(
-                        f"{path}: row {row_no}, column {header[col_idx]!r}: "
-                        f"non-finite value {cell.strip()!r}"
-                    )
-                values.append(value)
-            rows.append(values)
+            values.append(value)
+        rows.append(values)
 
     if len(rows) < 2:
         raise DatasetError(f"{path}: need at least 2 instances, got {len(rows)}")

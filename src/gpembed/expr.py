@@ -63,14 +63,14 @@ class Node:
     `size` (node count) and `depth` (edge count to the deepest leaf) are
     computed once at construction; a lone terminal has size 1 and depth 0.
 
-    Two cache slots hold what a tree root was last scored to, so that an
-    offspring re-scores only the trees it does not share with its parent:
-    `column_memo` is ``(dataset, column)`` from `eval_individual` and
-    `complexity_memo` is ``(cost_model, value)`` from
-    `complexity.individual_complexity`, both filled by `memoized`.  Each is
-    reused only for the very object it names; holding that reference keeps
-    the object's identity from being recycled.  A third, `text_memo`, holds
-    `serialize`'s text once it is asked for.  None takes part in equality.
+    Three cache slots, each filled by `memoized`, keep what a tree root was
+    last computed to: `column_memo` is ``(dataset, column)`` from
+    `eval_individual` and `complexity_memo` is ``(cost_model, value)`` from
+    `complexity.individual_complexity`, so that an offspring re-scores only
+    the trees it does not share with its parent, and `text_memo` is
+    ``(None, text)`` from `serialize`.  Each is reused only for the very
+    owner it names; holding that reference keeps the owner's identity from
+    being recycled.  None takes part in equality.
     """
 
     __slots__ = ("op", "feature", "children", "size", "depth",
@@ -294,10 +294,7 @@ def node_depth(tree: Node, index: int) -> int:
 def serialize(tree: Node) -> str:
     """Canonical s-expression, e.g. ``(sub (add f0 f1) f2)``; kept in the
     tree's `text_memo`, and its subtrees keep none."""
-    text = tree.text_memo
-    if text is None:
-        text = tree.text_memo = _sexpr(tree)
-    return text
+    return memoized(tree, "text_memo", None, lambda: _sexpr(tree))
 
 
 def _sexpr(tree: Node) -> str:

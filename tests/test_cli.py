@@ -1,5 +1,6 @@
 import dataclasses
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,6 +148,12 @@ class TestRunCommand:
         out = tmp_path / "out"
         assert main(run_args(tiny_csv, out, extra=extra)) == 1
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_leaf_weight_above_cap_rejected_before_search(self, tiny_csv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(run_args(tiny_csv, out, extra=["--leaf", "1e200"])) == 1
+        assert "cost.leaf (--leaf) must be at most 2**64" in capsys.readouterr().err
         assert not out.exists()
 
     def test_cost_set_flag(self, tiny_csv, tmp_path):
@@ -368,6 +375,28 @@ class TestScoreCommand:
         cfg.write_text("cost.mul =\n", encoding="utf-8")
         assert main(["score", str(path), "--config", str(cfg)]) == 1
         assert "unknown cost class ''" in capsys.readouterr().err
+
+
+class TestNonUtf8Files:
+    """A data, tree or config file that is not UTF-8 exits 1 naming the file."""
+
+    @pytest.mark.parametrize("kind", ["data", "tree", "config"])
+    def test_refused_naming_the_file(self, tiny_csv, tmp_path, capsys, kind):
+        trees = tmp_path / "trees.sexp"
+        trees.write_text("(mul f0 f1)\n", encoding="utf-8")
+        bad = tmp_path / f"latin1.{kind}"
+        if kind == "data":
+            bad.write_bytes(Path(tiny_csv).read_bytes().replace(b",cls", b",cl\xe9"))
+            argv, out = run_args(str(bad), tmp_path / "out"), tmp_path / "out"
+        elif kind == "tree":
+            bad.write_bytes(b"(add f0 f1) ; caf\xe9\n")
+            argv, out = ["score", str(bad)], None
+        else:
+            bad.write_bytes(b"cost.mu = 0.5  # caf\xe9\n")
+            argv, out = ["score", str(trees), "--config", str(bad)], None
+        assert main(argv) == 1
+        assert str(bad) in capsys.readouterr().err
+        assert out is None or not out.exists()
 
 
 class TestEmbedCommand:

@@ -328,6 +328,18 @@ class TestCostModel:
         with pytest.raises(ValueError):
             CostModel(operator_costs={"frobnicate": CostClass.SUM})
 
+    def test_leaf_weight_up_to_exponent_cap_keeps_complexity_finite(self):
+        model = CostModel(leaf_complexity=2.0 ** complexity.EXP_CAP_BITS)
+        trees = [parse(t) for t in ("(mul f0 f1)", "(mul (mul f0 f1) (mul f2 f3))",
+                                    "(sigmoid (mul (add f0 f1) f2))", "(pdiv (abs f0) f1)")]
+        for tree in trees:
+            assert np.isfinite(tree_complexity(tree, model).value)
+        assert np.isfinite(individual_complexity(Individual(trees=tuple(trees)), model))
+
+    def test_leaf_weight_above_exponent_cap_rejected(self):
+        with pytest.raises(ValueError, match=r"must be at most 2\*\*64"):
+            CostModel(leaf_complexity=np.nextafter(2.0 ** complexity.EXP_CAP_BITS, np.inf))
+
     def test_from_string(self):
         assert CostClass.from_string("Exp") is CostClass.EXP
         with pytest.raises(ValueError, match="unknown cost class"):

@@ -181,7 +181,7 @@ class TestColumnReuse:
         assert child.trees[i].text_memo is None
         got = child.serialized()
         assert [got[k] is texts[k] for k in range(3)] == [k != i for k in range(3)]
-        assert got[i] == expr._sexpr(child.trees[i]) and child.trees[i].text_memo is got[i]
+        assert got[i] == expr._sexpr(child.trees[i]) and child.trees[i].text_memo[1] is got[i]
 
     def test_threads_sharing_trees_get_fresh_columns(self):
         rng = np.random.default_rng(14)
@@ -259,6 +259,23 @@ class TestRandomTree:
             random_tree(3, 3, 2, "grow", rng)
         with pytest.raises(ValueError):
             random_tree(3, 2, 4, "bushy", rng)
+
+
+class TestGrowSubtree:
+    @pytest.mark.parametrize("depth_min, target",
+                             [(lo, hi) for lo in range(4) for hi in range(lo, 6)])
+    def test_depth_within_range(self, depth_min, target):
+        for seed in range(30):
+            tree = expr.grow_subtree(4, depth_min, target, np.random.default_rng(seed))
+            assert depth_min <= tree.depth <= target
+            assert max_feature_index(tree) < 4
+            if target == 0:
+                assert tree.op is None
+
+    @pytest.mark.parametrize("depth_min, target", [(1, 0), (3, 2), (-1, 3)])
+    def test_bad_depth_range_rejected(self, depth_min, target):
+        with pytest.raises(ValueError, match="bad depth range"):
+            expr.grow_subtree(4, depth_min, target, np.random.default_rng(0))
 
 
 class TestSerialization:
