@@ -10,6 +10,7 @@ import argparse
 import os
 import re
 import sys
+import warnings
 from typing import NamedTuple
 
 from . import evolution, harness
@@ -206,15 +207,27 @@ def cmd_run(args) -> int:
             raise ConfigError(f"{_label(key)} must be >= {least}, got {values[key]}")
     resolved = resolved_text(values)  # refused before any file I/O if not replayable
     dataset = load_csv(_data_path(values), values["data.label_col"], max_neighbours=nbrs)
-    if dataset.labels is not None and folds > dataset.n_instances:
-        raise ConfigError(
-            f"{_label('eval.folds')} = {folds} exceeds the {dataset.n_instances} instances"
-        )
+    if dataset.labels is not None:
+        if folds > dataset.n_instances:
+            raise ConfigError(
+                f"{_label('eval.folds')} = {folds} exceeds the {dataset.n_instances} instances"
+            )
+        with warnings.catch_warnings():  # the report gives any fold warning itself
+            warnings.simplefilter("ignore")
+            assignment = harness.fold_assignment(
+                dataset.labels, folds, evolution.derive_rng(config.seed, evolution.LABEL_FOLDS))
+        train = min(int((assignment != f).sum()) for f in range(folds))
+        if k > train:
+            raise ConfigError(f"{_label('eval.k')} = {k} exceeds a fold's {train} training rows")
 
     out_dir = values["out.dir"]
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "config.resolved"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(resolved)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        with open(os.path.join(out_dir, "config.resolved"), "w", encoding="utf-8",
+                  newline="\n") as fh:
+            fh.write(resolved)
+    except OSError as exc:
+        raise ConfigError(f"{_label('out.dir')} = {out_dir}: {exc}") from exc
 
     result = evolution.run(dataset, config, cost_model=cost_model)
     records = harness.report(result, dataset, config, out_dir, k=k, folds=folds, model=cost_model)

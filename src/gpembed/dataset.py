@@ -79,33 +79,36 @@ def sq_distances(points: np.ndarray, others: np.ndarray, index: np.ndarray) -> n
     P = np.asarray(points, dtype=np.float64)
     O = np.asarray(others, dtype=np.float64)
     shape = np.broadcast_shapes((P.shape[0], 1), np.shape(index))
-    acc = np.zeros(shape)
+    if P.shape[1] == 0:
+        return np.zeros(shape)
     d = np.empty(shape)
     with np.errstate(over="ignore"):  # coordinates far apart give +inf, which ranks last
-        for c in range(P.shape[1]):
+        acc = P[:, 0, None] - O[:, 0][index]  # the sum starts here: 0.0 + x is x for x >= 0
+        acc *= acc
+        for c in range(1, P.shape[1]):
             np.subtract(P[:, c, None], O[:, c][index], out=d)
             d *= d
             acc += d
     return acc
 
 
-def nearest_mask(d2: np.ndarray, k: int) -> np.ndarray:
-    """Mask of each row's k smallest entries, lower column first among equals.
+def nearest(d2: np.ndarray, k: int) -> np.ndarray:
+    """``(rows, k)`` columns of each row's k smallest entries, ascending; the
+    lower column goes first among equal values, and `d2` must hold no NaN.
 
     Exact top-k without a full sort: with v the row's k-th smallest value,
-    every entry below v is taken, then the leftmost entries equal to v until
-    there are k.
+    every entry up to v is a candidate; only a row tied at v has more than k,
+    and it keeps those below v, then the leftmost equal to v until there are k.
     """
     v = np.partition(d2, k - 1, axis=1)[:, k - 1, None]
-    nearest = d2 < v
-    room = k - np.count_nonzero(nearest, axis=1)
-    rows, cols = np.nonzero(d2 == v)
-    # rows is sorted, so an entry's place among its row's equal entries is
-    # its offset from the first of them
-    place = np.arange(rows.shape[0]) - np.searchsorted(rows, rows)
-    keep = place < room[rows]
-    nearest[rows[keep], cols[keep]] = True
-    return nearest
+    rows, cols = np.divmod(np.flatnonzero(d2 <= v), d2.shape[1])
+    if rows.shape[0] > k * d2.shape[0]:
+        # ordered by row, then value, then column, a candidate's place in its
+        # row is its offset from the row's first candidate
+        by_value = np.lexsort((d2[rows, cols], rows))
+        place = np.arange(rows.shape[0]) - np.searchsorted(rows, rows)
+        cols = cols[np.sort(by_value[place < k])]
+    return cols.reshape(-1, k)
 
 
 def neighbour_order(instances: np.ndarray, max_neighbours: int | None = None) -> np.ndarray:
@@ -135,8 +138,7 @@ def neighbour_order(instances: np.ndarray, max_neighbours: int | None = None) ->
         if k + 1 < n:
             # only the k + 1 nearest, self included, can be listed: select
             # them exactly, then sort just those
-            _, near = np.nonzero(nearest_mask(d2, k + 1))
-            near = near.reshape(rows.shape[0], k + 1)
+            near = nearest(d2, k + 1)
             by_distance = np.argsort(np.take_along_axis(d2, near, axis=1), axis=1, kind="stable")
             order = np.take_along_axis(near, by_distance, axis=1)
         else:

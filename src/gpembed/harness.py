@@ -13,7 +13,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .complexity import CostClass, CostModel, DEFAULT_COST_MODEL, baseline_complexity
-from .dataset import Dataset, nearest_mask, sq_distances
+from .dataset import Dataset, nearest, sq_distances
 from .evolution import LABEL_FOLDS, EvolutionConfig, FrontEntry, RunResult, derive_rng
 from .expr import Individual, eval_individual, to_dot
 
@@ -71,8 +71,9 @@ def knn_cv_accuracy(
 ) -> tuple[float, float]:
     """Mean and stddev of per-fold KNN accuracy on the embedding.
 
-    Distance ties resolve to the lower instance index, vote ties to the
-    smallest class id.
+    Each test row votes with its k nearest training rows, or with every
+    training row when a fold has k or fewer.  Distance ties resolve to the
+    lower instance index, vote ties to the smallest class id.
     """
     if labels is None:
         raise ValueError("labels are required for classification scoring")
@@ -85,6 +86,8 @@ def knn_cv_accuracy(
         raise ValueError(f"need at least {folds} instances for {folds}-fold CV, got {n}")
     if k < 1:
         raise ValueError("k must be >= 1")
+    if not np.isfinite(E).all():  # a NaN distance has no place in a top-k
+        raise ValueError("embedding contains NaN or infinite values")
     if rng is None:
         rng = np.random.default_rng(0)
     assignment = fold_assignment(y, folds, rng)
@@ -94,9 +97,9 @@ def knn_cv_accuracy(
         test = np.flatnonzero(assignment == f)
         train = np.flatnonzero(assignment != f)
         d2 = sq_distances(E[test], E, train)
-        rows, cols = np.nonzero(nearest_mask(d2, min(k, train.shape[0])))
-        votes = np.bincount(rows * n_classes + y[train][cols],
-                            minlength=test.shape[0] * n_classes)
+        near = nearest(d2, min(k, train.shape[0]))
+        votes = np.bincount((np.arange(test.shape[0])[:, None] * n_classes
+                             + y[train][near]).ravel(), minlength=test.shape[0] * n_classes)
         # argmax keeps the first, i.e. smallest, class of a tied vote
         predictions = votes.reshape(-1, n_classes).argmax(axis=1)
         accuracies.append(float(np.mean(predictions == y[test])))

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_clusters
+from conftest import WINE_CSV, make_clusters
 from gpembed.cli import (
     CONFIG_SCHEMA,
     ConfigError,
@@ -111,6 +111,8 @@ class TestRunCommand:
         ("--folds", "0", "eval.folds (--folds) must be >= 2"),
         ("--folds", "1", "eval.folds (--folds) must be >= 2"),
         ("--folds", "21", "exceeds the 20 instances"),
+        # 10 stratified folds of 2: each trains on 18
+        ("--k", "19", "eval.k (--k) = 19 exceeds a fold's 18 training rows"),
     ])
     def test_bad_evaluation_settings_rejected_before_search(
         self, tiny_csv, tmp_path, capsys, flag, value, message
@@ -119,6 +121,24 @@ class TestRunCommand:
         assert main(run_args(tiny_csv, out, extra=[flag, value])) == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    # Wine's largest of the 10 folds holds 19 of its 178 instances, so one trains on 159
+    @pytest.mark.parametrize("k, code", [("5", 0), ("159", 0), ("160", 1)])
+    def test_k_above_a_training_fold_rejected_before_search(self, tmp_path, capsys, k, code):
+        out = tmp_path / "out"
+        argv = ["run", "--data", WINE_CSV, "--label-col", "class", "--out", str(out),
+                "--generations", "1", "--population", "8", "--neighbourhood", "4", "--k", k]
+        assert main(argv) == code
+        if code:
+            assert "eval.k (--k) = 160 exceeds a fold's 159 training" in capsys.readouterr().err
+        assert out.exists() == (code == 0)
+
+    def test_out_naming_a_file_exits_one(self, tiny_csv, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        assert main(run_args(tiny_csv, taken)) == 1
+        assert f"out.dir (--out) = {taken}" in capsys.readouterr().err
+        assert taken.read_text(encoding="utf-8") == ""
 
     @pytest.mark.parametrize("flag, value", [("--max-depth", "4"), ("--min-depth", "7")])
     def test_depth_range_error_names_settable_bounds(self, tiny_csv, tmp_path, capsys,

@@ -70,6 +70,13 @@ class TestKnn:
         with pytest.raises(ValueError, match="folds must be >= 2"):
             knn_cv_accuracy(np.zeros((10, 2)), np.arange(10) % 2, folds=folds)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_embedding_rejected(self, bad):
+        E = np.random.default_rng(0).normal(size=(40, 2))
+        E[3, 0] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            knn_cv_accuracy(E, np.arange(40) % 2, k=3, folds=4)
+
     def test_small_class_falls_back_with_warning(self):
         rng = np.random.default_rng(2)
         X = rng.normal(size=(30, 2))
