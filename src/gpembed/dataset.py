@@ -6,11 +6,18 @@ distance is computed once up front; the embedding-quality objective only
 ever reads these orderings.  All squared distances, here and in the
 objective and the KNN harness, come from `sq_distances`, which sums squared
 coordinate differences in column order, as the test oracles do.
+
+With k < n - 1 neighbours kept, `neighbour_order` ranks exactly only each
+row's candidates: the columns whose Gram-form value ``s_j - 2 x_i . x_j``
+(s the squared norms; `np.einsum`, one thread) is at most ``A_i + 2 T_i``,
+A_i the row's (k+1)-th smallest value and, for m columns,
+``T_i = 8 (m + 4) 2**-53 (s_i + max s) + 2**-1000``.
 """
 from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,6 +126,17 @@ def neighbour_order(instances: np.ndarray, max_neighbours: int | None = None) ->
     sort identically and avoid rounding collisions from the square root.
     Rows are ordered ROW_BLOCK at a time, so memory stays O(ROW_BLOCK * n)
     beyond the (n, k) result.
+
+    With k < n - 1, each row ranks only the module docstring's candidates,
+    packed in column order and padded with +inf.  None the exact path lists
+    is dropped: the value plus s_i and `sq_distances`' e_ij each sum terms of
+    total size <= 2 (s_i + s_j), with at most m + 2 roundings on any term's
+    path, so in any order each errs by about 2 (m + 2) 2**-53 (s_i + s_j) at
+    most, and the two differ by under T_i (2**-1000 covers underflow).  The
+    k + 1 columns at or below A_i have e_ij <= A_i + s_i + T_i, so the row's
+    exact (k+1)-th smallest does too, and any column at or below that, self
+    included, has a value <= e_ij - s_i + T_i <= A_i + 2 T_i.  If 8 max s
+    overflows, every value is 0 and every column a candidate.
     """
     X = np.asarray(instances, dtype=np.float64)
     n = X.shape[0]
@@ -131,17 +149,33 @@ def neighbour_order(instances: np.ndarray, max_neighbours: int | None = None) ->
     k = n - 1 if max_neighbours is None else min(max_neighbours, n - 1)
     everyone = np.arange(n)
     out = np.empty((n, k), dtype=np.intp)
+    if k + 1 < n:
+        with np.errstate(over="ignore"):
+            G = X if np.isfinite(8 * np.einsum("ij,ij->i", X, X).max()) else np.zeros_like(X)
+        s, cross = np.einsum("ij,ij->i", G, G), np.ascontiguousarray(-2.0 * G.T)
+        slack = 16 * (X.shape[1] + 4) * 2.0**-53 * (s + s.max()) + 2.0**-999  # 2 T_i
     for lo in range(0, n, ROW_BLOCK):
         rows = everyone[lo:lo + ROW_BLOCK]
-        d2 = sq_distances(X[rows], X, everyone)
-        d2[np.arange(rows.shape[0]), rows] = -1.0  # self sorts first, before any duplicate
         if k + 1 < n:
             # only the k + 1 nearest, self included, can be listed: select
-            # them exactly, then sort just those
+            # them exactly from the candidates, then sort just those
+            approx = np.einsum("ij,jk->ik", G[rows], cross)
+            approx += s  # ||x_i - x_j||^2 - s_i, rounded
+            close = approx <= np.partition(approx, k, axis=1)[:, k, None] + slack[rows, None]
+            del approx  # the exact pass below runs without it
+            counts = np.count_nonzero(close, axis=1)
+            filled = np.arange(counts.max()) < counts[:, None]
+            index = np.zeros(filled.shape, dtype=np.intp)
+            index[filled] = np.flatnonzero(close) % n  # row by row, in column order
+            d2 = sq_distances(X[rows], X, index)
+            d2[index == rows[:, None]] = -1.0  # self sorts first, before any duplicate
+            d2[~filled] = np.inf  # after self: padding holds index 0
             near = nearest(d2, k + 1)
             by_distance = np.argsort(np.take_along_axis(d2, near, axis=1), axis=1, kind="stable")
-            order = np.take_along_axis(near, by_distance, axis=1)
+            order = np.take_along_axis(index, np.take_along_axis(near, by_distance, axis=1), axis=1)
         else:
+            d2 = sq_distances(X[rows], X, everyone)
+            d2[np.arange(rows.shape[0]), rows] = -1.0  # self sorts first, before any duplicate
             order = np.argsort(d2, axis=1, kind="stable")
         out[rows] = order[:, 1:]
     return out
@@ -219,6 +253,7 @@ def read_csv(path, label_column: str | None = None):
 
     rows: list[list[float]] = []
     labels: list[str] = []
+    feature_names = [h for i, h in enumerate(header) if i != label_idx]
     for row_no, row in enumerate(reader, start=2):
         if not row or all(not c.strip() for c in row):
             continue
@@ -226,29 +261,26 @@ def read_csv(path, label_column: str | None = None):
             raise DatasetError(
                 f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}"
             )
-        values = []
-        for col_idx, cell in enumerate(row):
-            if col_idx == label_idx:
-                labels.append(cell.strip())
-                continue
-            try:
-                value = float(cell)
-            except ValueError:
-                raise DatasetError(
-                    f"{path}: row {row_no}, column {header[col_idx]!r}: "
-                    f"cannot parse {cell.strip()!r} as a number"
-                ) from None
-            if not np.isfinite(value):
-                raise DatasetError(
-                    f"{path}: row {row_no}, column {header[col_idx]!r}: "
-                    f"non-finite value {cell.strip()!r}"
-                )
-            values.append(value)
+        if label_idx is not None:
+            labels.append(row.pop(label_idx).strip())
+        try:
+            values = list(map(float, row))
+        except ValueError:
+            values = None
+        if values is None or not all(map(math.isfinite, values)):
+            for name, cell in zip(feature_names, row):  # name the row's first bad cell
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise DatasetError(f"{path}: row {row_no}, column {name!r}: "
+                                       f"cannot parse {cell.strip()!r} as a number") from None
+                if not math.isfinite(value):
+                    raise DatasetError(f"{path}: row {row_no}, column {name!r}: "
+                                       f"non-finite value {cell.strip()!r}")
         rows.append(values)
 
     if len(rows) < 2:
         raise DatasetError(f"{path}: need at least 2 instances, got {len(rows)}")
-    feature_names = [h for i, h in enumerate(header) if i != label_idx]
     if len(feature_names) < 2:
         raise DatasetError(f"{path}: need at least 2 feature columns, got {len(feature_names)}")
     return (np.asarray(rows, dtype=np.float64), labels if label_idx is not None else None,

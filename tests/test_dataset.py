@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from gpembed import dataset
 from gpembed.dataset import (
     ROW_BLOCK,
     Dataset,
@@ -16,6 +17,7 @@ from gpembed.dataset import (
     nearest,
     neighbour_order,
     normalize,
+    read_csv,
     sq_distances,
 )
 from gpembed.expr import FLOAT_MAX, Individual, eval_individual, parse
@@ -121,6 +123,59 @@ class TestNeighbourOrder:
         with pytest.raises(DatasetError, match="max_neighbours"):
             neighbour_order(np.eye(3), max_neighbours=0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(3, ROW_BLOCK + 44),
+        st.integers(1, 4),
+        st.integers(1, 4),
+        st.booleans(),
+        st.sampled_from([1.0, 1e-160, 2.0**-539, 1e-310, 1e154, 1e200]),
+        st.sampled_from([0.0, 1e6]),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["1", "2", "n-2"]),
+    )
+    def test_candidate_filter_keeps_the_exact_order(self, n, dims, levels, jitter, scale,
+                                                    offset, seed, which):
+        # the full-sort branch never filters, so it is the exact reference;
+        # a coarse integer grid ties many distances, the scales reach
+        # subnormal squares and squared norms that overflow, and the offset
+        # makes the approximate distance round exact ties apart
+        rng = np.random.default_rng(seed)
+        pts = rng.integers(0, levels, size=(n, dims)).astype(float)
+        if jitter:
+            pts += rng.normal(size=pts.shape)
+        pts = pts * scale + offset
+        k = {"1": 1, "2": 2, "n-2": n - 2}[which]
+        assert np.array_equal(neighbour_order(pts, max_neighbours=k),
+                              neighbour_order(pts)[:, :k])
+
+    def test_underflowed_squares_keep_the_exact_order(self):
+        # squares of 2**-539-sized steps lose most of their bits below the
+        # smallest subnormal; only the absolute term of the bound covers that
+        grid = [[0, 5], [4, 6], [3, 2], [0, 3], [5, 6], [6, 1], [4, 6], [2, 2], [6, 4]]
+        pts = np.array(grid, dtype=float) * 2.0**-539
+        assert neighbour_order(pts, max_neighbours=1)[:, 0].tolist() == [3, 4, 7, 0, 1, 2, 1, 2, 1]
+        assert np.array_equal(neighbour_order(pts, max_neighbours=2), neighbour_order(pts)[:, :2])
+
+    def test_ties_at_the_threshold_keep_every_tied_candidate(self, monkeypatch):
+        # the origin's four nearest are all one unit away: with k = 1 or 2 the
+        # threshold admits all four, so its row holds more than k + 1 candidates
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0],
+                        [5.0, 5.0]])
+        widths = []
+
+        def spy(points, others, index):
+            widths.append(np.shape(index)[-1])
+            return sq_distances(points, others, index)
+
+        monkeypatch.setattr(dataset, "sq_distances", spy)
+        assert neighbour_order(pts, max_neighbours=1)[:, 0].tolist() == [1, 0, 0, 0, 0, 1]
+        assert widths == [5]
+        assert neighbour_order(pts, max_neighbours=2)[0].tolist() == [1, 2]
+        assert widths == [5, 5]
+        want = brute_neighbour_order(pts)
+        assert neighbour_order(pts, max_neighbours=3).tolist() == [row[:3] for row in want]
+
     @settings(max_examples=50, deadline=None)
     @given(
         arrays(
@@ -208,6 +263,21 @@ class TestMemory:
         assert ds.neighbour_order.shape == (n, k)
         assert peak < 32e6, f"peak allocation {peak / 1e6:.1f} MB"
 
+    def test_neighbour_order_holds_a_few_row_blocks(self):
+        # exact distances for every pair peaked near 3 blocks of n float64s;
+        # the candidate filter must stay under 4 blocks plus the (n, k) result
+        n, m, k = 2000, 10, 50
+        X = np.random.default_rng(6).normal(size=(n, m))
+        tracemalloc.start()
+        try:
+            order = neighbour_order(X, max_neighbours=k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert order.shape == (n, k)
+        bound = 4 * ROW_BLOCK * n * 8 + n * k * 8
+        assert peak < bound, f"peak allocation {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
+
 
 class TestLoadCsv:
     def test_basic_load(self, tmp_path):
@@ -244,6 +314,36 @@ class TestLoadCsv:
         path = write_csv(tmp_path / "d.csv", "x,y\n0,1\n2,oops\n3,4\n")
         with pytest.raises(DatasetError, match=r"row 3.*'y'.*'oops'"):
             load_csv(path)
+
+    @pytest.mark.parametrize("label_at", [0, 1, 3])
+    def test_matrix_matches_a_float_per_cell(self, tmp_path, label_at):
+        cells = [[" 2.5 ", "1_000", "-0", "1e-310"],
+                 ["3.141592653589793", "+7", "1E3", "0.1"],
+                 ["-1.5e308", "  .5", "2", "-4.9e-324"]]
+        header = ["a", "b", "c", "d"]
+        header.insert(label_at, "cls")
+        lines = [",".join(header)]
+        for i, row in enumerate(cells):
+            lines.append(",".join(row[:label_at] + [f" L{i} "] + row[label_at:]))
+        path = write_csv(tmp_path / "d.csv", "\n".join(lines) + "\n")
+        matrix, labels, names = read_csv(path, label_column="cls")
+        want = np.array([[float(c) for c in row] for row in cells])
+        assert matrix.dtype == np.float64
+        assert matrix.tobytes() == want.tobytes()
+        assert labels == ["L0", "L1", "L2"]
+        assert names == ["a", "b", "c", "d"]
+
+    @pytest.mark.parametrize("bad_row, message", [
+        ("1,inf,x,oops", r"row 3, column 'y': non-finite value 'inf'$"),
+        ("1, oops ,x,inf", r"row 3, column 'y': cannot parse 'oops' as a number$"),
+        ("1,2,x,1e999", r"row 3, column 'z': non-finite value '1e999'$"),
+    ])
+    def test_error_names_the_first_bad_row_then_cell(self, tmp_path, bad_row, message):
+        # the label column sits between y and z; row 4 is bad too, but later
+        path = write_csv(tmp_path / "d.csv",
+                         f"x,y,cls,z\n0,1,a,2\n{bad_row}\nnan,oops,b,3\n")
+        with pytest.raises(DatasetError, match=message):
+            read_csv(path, label_column="cls")
 
     def test_rejects_non_finite(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", "x,y\n0,1\nnan,2\n")
