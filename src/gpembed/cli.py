@@ -276,9 +276,11 @@ def cmd_embed(args) -> int:
                 f"{instances.shape[1]} features"
             )
     embedding = eval_individual(ind, instances)
-    out_path = args.out if args.out else "embedding.csv"
-    harness._write_csv(out_path, ",".join(f"e{j}" for j in range(embedding.shape[1])), embedding)
-    print(f"embedding ({embedding.shape[0]} x {embedding.shape[1]}) written to {out_path}")
+    try:  # an --out that cannot be written is refused like run's out.dir
+        harness._write_csv(args.out, ",".join(f"e{j}" for j in range(len(ind.trees))), embedding)
+    except OSError as exc:
+        raise ConfigError(f"--out = {args.out}: {exc}") from exc
+    print(f"embedding ({embedding.shape[0]} x {embedding.shape[1]}) written to {args.out}")
     return 0
 
 
@@ -316,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     embed_p = subs.add_parser("embed", help="evaluate trees on a dataset to a CSV")
     embed_p.add_argument("tree_file", help="file of s-expressions, one per line")
     _add_flags(embed_p, "embed")
-    embed_p.add_argument("--out", help="embedding CSV path (default: embedding.csv)")
+    embed_p.add_argument("--out", default="embedding.csv",
+                         help="embedding CSV path (default: embedding.csv)")
     embed_p.set_defaults(func=cmd_embed)
     return parser
 

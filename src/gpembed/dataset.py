@@ -121,22 +121,23 @@ def nearest(d2: np.ndarray, k: int) -> np.ndarray:
 def neighbour_order(instances: np.ndarray, max_neighbours: int | None = None) -> np.ndarray:
     """Row i lists every j != i by ascending Euclidean distance from i.
 
-    Equal distances are ordered by ascending index.  Ordering is computed on
-    squared distances (summed in column order, see `sq_distances`), which
-    sort identically and avoid rounding collisions from the square root.
-    Rows are ordered ROW_BLOCK at a time, so memory stays O(ROW_BLOCK * n)
-    beyond the (n, k) result.
+    Equal distances are ordered by ascending index: a row's columns go, in
+    column order, through one stable argsort of their squared distances
+    (summed in column order, see `sq_distances`; they sort identically and
+    avoid rounding collisions from the square root), its own set to -1 so it
+    sorts first.  Rows are ordered ROW_BLOCK at a time, so memory stays
+    O(ROW_BLOCK * n) beyond the (n, k) result.
 
-    With k < n - 1, each row ranks only the module docstring's candidates,
-    packed in column order and padded with +inf.  None the exact path lists
-    is dropped: the value plus s_i and `sq_distances`' e_ij each sum terms of
-    total size <= 2 (s_i + s_j), with at most m + 2 roundings on any term's
-    path, so in any order each errs by about 2 (m + 2) 2**-53 (s_i + s_j) at
-    most, and the two differ by under T_i (2**-1000 covers underflow).  The
-    k + 1 columns at or below A_i have e_ij <= A_i + s_i + T_i, so the row's
-    exact (k+1)-th smallest does too, and any column at or below that, self
-    included, has a value <= e_ij - s_i + T_i <= A_i + 2 T_i.  If 8 max s
-    overflows, every value is 0 and every column a candidate.
+    With k < n - 1 a row ranks only the module docstring's candidates, then
+    index n, +inf from every row.  None the exact path lists is dropped: the
+    value plus s_i and `sq_distances`' e_ij each sum terms of total size
+    <= 2 (s_i + s_j), with at most m + 2 roundings on any term's path, so in
+    any order each errs by about 2 (m + 2) 2**-53 (s_i + s_j) at most, and the
+    two differ by under T_i (2**-1000 covers underflow).  The k + 1 columns at
+    or below A_i have e_ij <= A_i + s_i + T_i, so the row's exact (k+1)-th
+    smallest does too, and any column at or below that, self included, has a
+    value <= e_ij - s_i + T_i <= A_i + 2 T_i.  If 8 max s overflows, every
+    value is 0 and every column a candidate.
     """
     X = np.asarray(instances, dtype=np.float64)
     n = X.shape[0]
@@ -149,6 +150,7 @@ def neighbour_order(instances: np.ndarray, max_neighbours: int | None = None) ->
     k = n - 1 if max_neighbours is None else min(max_neighbours, n - 1)
     everyone = np.arange(n)
     out = np.empty((n, k), dtype=np.intp)
+    padded = np.vstack([X, np.full((1, X.shape[1]), np.inf)])  # index n: +inf from any row
     if k + 1 < n:
         with np.errstate(over="ignore"):
             G = X if np.isfinite(8 * np.einsum("ij,ij->i", X, X).max()) else np.zeros_like(X)
@@ -156,28 +158,23 @@ def neighbour_order(instances: np.ndarray, max_neighbours: int | None = None) ->
         slack = 16 * (X.shape[1] + 4) * 2.0**-53 * (s + s.max()) + 2.0**-999  # 2 T_i
     for lo in range(0, n, ROW_BLOCK):
         rows = everyone[lo:lo + ROW_BLOCK]
+        index = everyone  # the columns each row ranks
         if k + 1 < n:
-            # only the k + 1 nearest, self included, can be listed: select
-            # them exactly from the candidates, then sort just those
+            # only the k + 1 nearest, self included, can be listed: rank just
+            # the candidates, which keep their column order
             approx = np.einsum("ij,jk->ik", G[rows], cross)
             approx += s  # ||x_i - x_j||^2 - s_i, rounded
             close = approx <= np.partition(approx, k, axis=1)[:, k, None] + slack[rows, None]
             del approx  # the exact pass below runs without it
             counts = np.count_nonzero(close, axis=1)
             filled = np.arange(counts.max()) < counts[:, None]
-            index = np.zeros(filled.shape, dtype=np.intp)
+            index = np.full(filled.shape, n)  # padding: sorts after every candidate
             index[filled] = np.flatnonzero(close) % n  # row by row, in column order
-            d2 = sq_distances(X[rows], X, index)
-            d2[index == rows[:, None]] = -1.0  # self sorts first, before any duplicate
-            d2[~filled] = np.inf  # after self: padding holds index 0
-            near = nearest(d2, k + 1)
-            by_distance = np.argsort(np.take_along_axis(d2, near, axis=1), axis=1, kind="stable")
-            order = np.take_along_axis(index, np.take_along_axis(near, by_distance, axis=1), axis=1)
-        else:
-            d2 = sq_distances(X[rows], X, everyone)
-            d2[np.arange(rows.shape[0]), rows] = -1.0  # self sorts first, before any duplicate
-            order = np.argsort(d2, axis=1, kind="stable")
-        out[rows] = order[:, 1:]
+        d2 = sq_distances(X[rows], padded, index)
+        d2[index == rows[:, None]] = -1.0  # self sorts first, before any duplicate
+        order = np.argsort(d2, axis=1, kind="stable")[:, 1:k + 1]
+        out[rows] = np.take_along_axis(index, order, axis=1) if k + 1 < n else order
+        del d2, order  # the next block's exact pass runs without them
     return out
 
 

@@ -478,6 +478,19 @@ class TestEmbedCommand:
         lines = ["e0,e1"] + [",".join(repr(float(v)) for v in row) for row in want]
         assert out_csv.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
 
+    @pytest.mark.parametrize("target", ["directory", "missing-directory/e.csv", ""])
+    def test_unwritable_out_exits_one(self, tiny_csv, tmp_path, capsys, monkeypatch, target):
+        monkeypatch.chdir(tmp_path)  # an empty --out must not fall back to embedding.csv
+        (tmp_path / "directory").mkdir()
+        trees = tmp_path / "trees.sexp"
+        trees.write_text("(add f0 f1)\n", encoding="utf-8")
+        out = tmp_path / target if target else ""
+        assert main(["embed", str(trees), "--data", tiny_csv, "--label-col", "cls",
+                     "--out", str(out)]) == 1
+        assert f"error: --out = {out}: " in capsys.readouterr().err
+        written = sorted(p.name for p in tmp_path.iterdir())
+        assert written == ["directory", "tiny.csv", "trees.sexp"]
+
     def test_embed_rejects_cost_flags(self, tiny_csv, tmp_path, capsys):
         trees = tmp_path / "trees.sexp"
         trees.write_text("(add f0 f1)\n", encoding="utf-8")

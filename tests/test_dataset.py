@@ -136,7 +136,8 @@ class TestNeighbourOrder:
     )
     def test_candidate_filter_keeps_the_exact_order(self, n, dims, levels, jitter, scale,
                                                     offset, seed, which):
-        # the full-sort branch never filters, so it is the exact reference;
+        # the all-neighbour case never filters, but it shares the capped
+        # case's sort, so unscaled grids also meet the brute-force oracle;
         # a coarse integer grid ties many distances, the scales reach
         # subnormal squares and squared norms that overflow, and the offset
         # makes the approximate distance round exact ties apart
@@ -146,8 +147,11 @@ class TestNeighbourOrder:
             pts += rng.normal(size=pts.shape)
         pts = pts * scale + offset
         k = {"1": 1, "2": 2, "n-2": n - 2}[which]
-        assert np.array_equal(neighbour_order(pts, max_neighbours=k),
-                              neighbour_order(pts)[:, :k])
+        capped = neighbour_order(pts, max_neighbours=k)
+        assert np.array_equal(capped, neighbour_order(pts)[:, :k])
+        if not jitter and scale == 1.0 and offset == 0.0:
+            # small-integer squared distances: the oracle's sqrt keeps their order
+            assert capped.tolist() == [row[:k] for row in brute_neighbour_order(pts)]
 
     def test_underflowed_squares_keep_the_exact_order(self):
         # squares of 2**-539-sized steps lose most of their bits below the
@@ -265,18 +269,23 @@ class TestMemory:
 
     def test_neighbour_order_holds_a_few_row_blocks(self):
         # exact distances for every pair peaked near 3 blocks of n float64s;
-        # the candidate filter must stay under 4 blocks plus the (n, k) result
+        # the candidate filter must stay under 4 blocks plus the (n, k) result.
+        # On identical rows every column is a candidate, so each block ranks
+        # n columns; that must stay under 6 blocks
         n, m, k = 2000, 10, 50
-        X = np.random.default_rng(6).normal(size=(n, m))
-        tracemalloc.start()
-        try:
-            order = neighbour_order(X, max_neighbours=k)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert order.shape == (n, k)
-        bound = 4 * ROW_BLOCK * n * 8 + n * k * 8
-        assert peak < bound, f"peak allocation {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
+        for X, blocks in ((np.random.default_rng(6).normal(size=(n, m)), 4),
+                          (np.ones((n, m)), 6)):
+            tracemalloc.start()
+            try:
+                order = neighbour_order(X, max_neighbours=k)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert order.shape == (n, k)
+            bound = blocks * ROW_BLOCK * n * 8 + n * k * 8
+            assert peak < bound, f"peak allocation {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
+        # every distance ties, so each row lists the others by index
+        assert order.tolist() == [[j for j in range(k + 1) if j != i][:k] for i in range(n)]
 
 
 class TestLoadCsv:
