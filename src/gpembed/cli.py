@@ -16,7 +16,7 @@ from typing import NamedTuple
 from . import evolution, harness
 from .complexity import (DEFAULT_OPERATOR_COSTS, CostClass, CostModel, baseline_complexity,
                          individual_complexity, tree_complexity)
-from .dataset import load_csv, normalize, read_csv
+from .dataset import from_arrays, normalize, read_csv
 from .expr import OPERATORS, Individual, eval_individual, max_feature_index, parse
 
 
@@ -206,7 +206,14 @@ def cmd_run(args) -> int:
         if values[key] is not None and values[key] < least:
             raise ConfigError(f"{_label(key)} must be >= {least}, got {values[key]}")
     resolved = resolved_text(values)  # refused before any file I/O if not replayable
-    dataset = load_csv(_data_path(values), values["data.label_col"], max_neighbours=nbrs)
+    matrix, labels, names = read_csv(_data_path(values), values["data.label_col"])
+    n = matrix.shape[0]  # loading, the search and the report each hold n x k neighbours
+    no_memory = ConfigError(f"out of memory holding {n} x {min(nbrs or n, n - 1)} neighbours; "
+                            f"set a lower {_label('cost.max_neighbours')}")
+    try:
+        dataset = from_arrays(matrix, labels, names, max_neighbours=nbrs)
+    except MemoryError:
+        raise no_memory from None
     if dataset.labels is not None:
         if folds > dataset.n_instances:
             raise ConfigError(
@@ -229,8 +236,12 @@ def cmd_run(args) -> int:
     except OSError as exc:
         raise ConfigError(f"{_label('out.dir')} = {out_dir}: {exc}") from exc
 
-    result = evolution.run(dataset, config, cost_model=cost_model)
-    records = harness.report(result, dataset, config, out_dir, k=k, folds=folds, model=cost_model)
+    try:
+        result = evolution.run(dataset, config, cost_model=cost_model)
+        records = harness.report(result, dataset, config, out_dir, k=k, folds=folds,
+                                 model=cost_model)
+    except MemoryError:
+        raise no_memory from None
 
     print(f"archive: {len(result.archive)} non-dominated individuals "
           f"({len(result.final_front)} in the final population front)")

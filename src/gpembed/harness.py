@@ -7,6 +7,7 @@ by node cost class, and written out as CSV/s-expression/DOT artifacts.
 from __future__ import annotations
 
 import os
+import re
 import warnings
 from dataclasses import astuple, dataclass
 
@@ -75,9 +76,18 @@ def knn_cv_accuracy(
     training row when a fold has k or fewer.  Distance ties resolve to the
     lower instance index, vote ties to the smallest class id.
     """
+    return _cv_accuracy(np.asarray(embedding, dtype=np.float64), labels, k, folds, rng)
+
+
+def _cv_accuracy(E, labels, k, folds, rng, order=None) -> tuple[float, float] | None:
+    """`knn_cv_accuracy`; given E's `neighbour_order`, the voters are read from it.
+
+    A stored row lists the other rows by (squared distance, index), the order
+    `nearest` takes training rows in, so its first entries outside the fold
+    are the nearest training rows.  None if a capped row lists too few.
+    """
     if labels is None:
         raise ValueError("labels are required for classification scoring")
-    E = np.asarray(embedding, dtype=np.float64)
     y = np.asarray(labels)
     n = E.shape[0]
     if folds < 2:
@@ -94,12 +104,21 @@ def knn_cv_accuracy(
     n_classes = int(y.max()) + 1
     accuracies = []
     for f in range(folds):
-        test = np.flatnonzero(assignment == f)
-        train = np.flatnonzero(assignment != f)
-        d2 = sq_distances(E[test], E, train)
-        near = nearest(d2, min(k, train.shape[0]))
+        in_fold = assignment == f
+        test = np.flatnonzero(in_fold)
+        kk = min(k, n - test.shape[0])
+        if order is None:
+            train = np.flatnonzero(~in_fold)
+            voters = train[nearest(sq_distances(E[test], E, train), kk)]
+        else:
+            listed = order[test, :kk + test.shape[0] - 1]  # only |test| - 1 rows share the fold
+            keep = ~in_fold[listed]
+            keep &= np.cumsum(keep, axis=1) <= kk
+            if keep.sum() < kk * test.shape[0]:
+                return None
+            voters = listed[keep].reshape(-1, kk)
         votes = np.bincount((np.arange(test.shape[0])[:, None] * n_classes
-                             + y[train][near]).ravel(), minlength=test.shape[0] * n_classes)
+                             + y[voters]).ravel(), minlength=test.shape[0] * n_classes)
         # argmax keeps the first, i.e. smallest, class of a tied vote
         predictions = votes.reshape(-1, n_classes).argmax(axis=1)
         accuracies.append(float(np.mean(predictions == y[test])))
@@ -219,10 +238,10 @@ def report(
                "generation,min_cost,min_complexity,archive_size", map(astuple, result.telemetry))
     baseline = []
     if dataset.labels is not None:
-        baseline.append(knn_cv_accuracy(
-            dataset.instances, dataset.labels, k=k, folds=folds,
-            rng=derive_rng(config.seed, LABEL_FOLDS),
-        ))
+        baseline.append(_cv_accuracy(dataset.instances, dataset.labels, k, folds,
+                                     derive_rng(config.seed, LABEL_FOLDS), dataset.neighbour_order)
+                        or knn_cv_accuracy(dataset.instances, dataset.labels, k=k, folds=folds,
+                                           rng=derive_rng(config.seed, LABEL_FOLDS)))
     _write_csv(os.path.join(out_dir, "baseline.csv"), "knn_acc_mean,knn_acc_std", baseline)
 
     for entry_id, entry in enumerate(entries):
@@ -230,5 +249,10 @@ def report(
             fh.write("".join(line + "\n" for line in entry.sexprs))
         with open(os.path.join(trees_dir, f"{entry_id}.dot"), "w", encoding="utf-8") as fh:
             fh.write(to_dot(entry.individual, feature_names=dataset.feature_names))
+    for name in os.listdir(trees_dir):  # an earlier run's trees past this run's last id
+        path = os.path.join(trees_dir, name)
+        tree_id = re.fullmatch(r"([0-9]+)\.(?:sexp|dot)", name)
+        if tree_id and int(tree_id[1]) >= len(entries) and os.path.isfile(path):
+            os.remove(path)
 
     return records

@@ -183,6 +183,41 @@ class TestRunCommand:
         assert "cost.mul = sum" in resolved
         assert "cost.relu = prod" in resolved
 
+    def test_reused_out_keeps_only_this_runs_trees(self, tmp_path):
+        out = tmp_path / "out"
+        argv = ["run", "--data", WINE_CSV, "--label-col", "class", "--out", str(out),
+                "--generations", "5", "--population", "8", "--neighbourhood", "4"]
+        assert main([*argv, "--seed", "1"]) == 0
+        first = len(list((out / "trees").glob("*.sexp")))
+        others = ("notes.txt", "3.sexp.bak", "x.dot", "trees.sexp")  # not tree files
+        for name in others:
+            (out / "trees" / name).write_text("kept", encoding="utf-8")
+        (out / "trees" / "99.dot").mkdir()  # named like a tree file, but a directory
+        assert main([*argv, "--seed", "2"]) == 0
+        ids = [line.split(",")[0] for line in (out / "front.csv").read_text().splitlines()[1:]]
+        assert 0 < len(ids) < first  # the first run's last trees must go
+        assert {p.name for p in (out / "trees").iterdir()} == {
+            f"{i}.{ext}" for i in ids for ext in ("sexp", "dot")} | {*others, "99.dot"}
+        assert all((out / "trees" / name).read_text(encoding="utf-8") == "kept"
+                   for name in others)
+
+    # an allocation in each phase; tiny.csv has 20 rows
+    @pytest.mark.parametrize("target, extra, needed", [
+        ("gpembed.dataset.neighbour_order", [], "20 x 19"),
+        ("gpembed.manifold_cost.sq_distances", ["--max-neighbours", "6"], "20 x 6"),
+        ("gpembed.harness.sq_distances", ["--max-neighbours", "6"], "20 x 6"),
+    ], ids=["load", "search", "report"])
+    def test_out_of_memory_exits_one_naming_max_neighbours(self, tiny_csv, tmp_path, capsys,
+                                                           monkeypatch, target, extra, needed):
+        def allocate(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(target, allocate)
+        assert main(run_args(tiny_csv, tmp_path / "out", extra=extra)) == 1
+        err = capsys.readouterr().err
+        assert f"out of memory holding {needed} neighbours" in err
+        assert "cost.max_neighbours (--max-neighbours)" in err
+
 
 class TestConfigResolution:
     def test_unknown_key_rejected(self, tmp_path):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import make_clusters, make_separated_clusters, small_config
-from gpembed.dataset import from_arrays
-from gpembed.evolution import EvolutionConfig, FrontEntry, GenerationStats, RunResult, run
+from conftest import WINE_CSV, make_clusters, make_separated_clusters, small_config
+from gpembed.dataset import from_arrays, load_csv
+from gpembed.evolution import (LABEL_FOLDS, EvolutionConfig, FrontEntry, GenerationStats,
+                               RunResult, derive_rng, run)
 from gpembed.expr import Individual, parse
 from gpembed import harness
 from gpembed.harness import fold_assignment, knn_cv_accuracy, report, summary_stats
@@ -251,8 +252,9 @@ class TestReport:
 
         monkeypatch.setattr(harness, "knn_cv_accuracy", counting)
         report(result, ds, config, tmp_path / "once")
-        # archive, final-front entries not in it, and the raw-feature baseline
-        assert len(calls) == len(result.archive) + len(result.final_front) - len(shared) + 1
+        # archive and final-front entries not in it; the raw-feature baseline
+        # reads the stored neighbour order instead
+        assert len(calls) == len(result.archive) + len(result.final_front) - len(shared)
         harness._write_csv(tmp_path / "unshared.csv", harness.FRONT_COLUMNS,
                            harness._front_rows(final_entries, unshared))
         assert (tmp_path / "once" / "final_front.csv").read_bytes() == (
@@ -290,3 +292,62 @@ class TestReport:
         for rec in records:
             assert 0.0 <= rec.knn_acc_mean <= 1.0
             assert rec.knn_acc_std >= 0.0
+
+
+def _grid_with_duplicates(max_neighbours):
+    # 15 distinct points on a 3-level grid, each repeated 4 times, random labels:
+    # many rows tie at their k-th distance, and votes split
+    rng = np.random.default_rng(5)
+    X = np.repeat(rng.integers(0, 3, size=(15, 3)).astype(float), 4, axis=0)
+    return from_arrays(X, labels=rng.integers(0, 3, size=60), max_neighbours=max_neighbours)
+
+
+def _mixed_clusters(max_neighbours):
+    # 300 rows in 3 overlapping clusters, so accuracy is well below 1
+    X, labels = make_clusters(100, 4, 3, seed=6, spread=4.0, separation=6.0)
+    return from_arrays(X, labels=labels, max_neighbours=max_neighbours)
+
+
+def _random_rows(n, labels, seed):
+    return from_arrays(np.random.default_rng(seed).normal(size=(n, 2)), labels=labels)
+
+
+# name: (dataset, k, folds, whether the capped order lists too few)
+BASELINE_CASES = {
+    "wine-all-neighbours": (lambda: load_csv(WINE_CSV, label_column="class"), 5, 10, False),
+    "clusters-50-neighbours": (lambda: _mixed_clusters(50), 5, 10, False),
+    "clusters-1-neighbour": (lambda: _mixed_clusters(1), 5, 10, True),
+    "grid-ties-all": (lambda: _grid_with_duplicates(None), 4, 10, False),
+    "grid-ties-12-neighbours": (lambda: _grid_with_duplicates(12), 4, 10, False),
+    "class-smaller-than-folds": (lambda: _random_rows(30, [0] * 27 + [1] * 3, 2), 3, 10, False),
+    "k-above-a-fold": (lambda: _random_rows(20, np.arange(20) % 3, 8), 19, 10, False),
+}
+
+
+class TestStoredBaseline:
+    """report reads baseline.csv's voters from the dataset's neighbour order,
+    and calls knn_cv_accuracy only when a capped order lists too few."""
+
+    @pytest.mark.filterwarnings("ignore:class with .* non-stratified folds:UserWarning")
+    @pytest.mark.parametrize("case", list(BASELINE_CASES))
+    def test_baseline_matches_distance_path_and_oracle(self, case, tmp_path, monkeypatch):
+        make, k, folds, falls_back = BASELINE_CASES[case]
+        ds = make()
+        config = EvolutionConfig(generations=0, population_size=8, moead_neighbourhood=4, seed=3)
+        want = knn_cv_accuracy(ds.instances, ds.labels, k=k, folds=folds,
+                               rng=derive_rng(config.seed, LABEL_FOLDS))
+        assignment = fold_assignment(ds.labels, folds, derive_rng(config.seed, LABEL_FOLDS))
+        assert want == _brute_knn_cv(ds.instances, ds.labels, assignment, k, folds)
+        harness._write_csv(tmp_path / "want.csv", "knn_acc_mean,knn_acc_std", [want])
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return knn_cv_accuracy(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "knn_cv_accuracy", counting)
+        empty = RunResult(archive=[], final_front=[], telemetry=[GenerationStats(0, 0.0, 0.0, 0)])
+        report(empty, ds, config, tmp_path / "out", k=k, folds=folds)
+        assert (tmp_path / "out" / "baseline.csv").read_bytes() == (
+            (tmp_path / "want.csv").read_bytes())
+        assert len(calls) == falls_back
