@@ -207,7 +207,9 @@ def cmd_run(args) -> int:
             raise ConfigError(f"{_label(key)} must be >= {least}, got {values[key]}")
     resolved = resolved_text(values)  # refused before any file I/O if not replayable
     matrix, labels, names = read_csv(_data_path(values), values["data.label_col"])
-    n = matrix.shape[0]  # loading, the search and the report each hold n x k neighbours
+    # loading builds the n x k neighbour order, which the search and the report
+    # keep; every distance loop adds only blocks of dataset.BLOCK_VALUES values
+    n = matrix.shape[0]
     no_memory = ConfigError(f"out of memory holding {n} x {min(nbrs or n, n - 1)} neighbours; "
                             f"set a lower {_label('cost.max_neighbours')}")
     try:

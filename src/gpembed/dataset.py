@@ -7,6 +7,12 @@ ever reads these orderings.  All squared distances, here and in the
 objective and the KNN harness, come from `sq_distances`, which sums squared
 coordinate differences in column order, as the test oracles do.
 
+Every loop over distances (neighbour ordering, the objective, KNN scoring)
+takes ``max(1, BLOCK_VALUES // w)`` rows at a time for rows w distances wide
+(`row_blocks`), so a temporary holds about BLOCK_VALUES float64s (1 MB), or
+one row if wider, whatever n is.  Each row's result depends on that row
+alone, so the blocks never change an output.
+
 With k < n - 1 neighbours kept, `neighbour_order` ranks exactly only each
 row's candidates: the columns whose Gram-form value ``s_j - 2 x_i . x_j``
 (s the squared norms; `np.einsum`, one thread) is at most ``A_i + 2 T_i``,
@@ -71,7 +77,13 @@ def normalize(matrix: np.ndarray) -> np.ndarray:
     return out
 
 
-ROW_BLOCK = 256  # rows of the n x n distance matrix held at once by neighbour_order
+BLOCK_VALUES = 1 << 17  # distances per temporary of a row-blocked loop: 1 MB of float64
+
+
+def row_blocks(n: int, width: int) -> list[slice]:
+    """Slices covering rows 0..n-1 in order, ``max(1, BLOCK_VALUES // width)`` rows each."""
+    step = max(1, BLOCK_VALUES // width)
+    return [slice(lo, lo + step) for lo in range(0, n, step)]
 
 
 def sq_distances(points: np.ndarray, others: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -125,8 +137,8 @@ def neighbour_order(instances: np.ndarray, max_neighbours: int | None = None) ->
     column order, through one stable argsort of their squared distances
     (summed in column order, see `sq_distances`; they sort identically and
     avoid rounding collisions from the square root), its own set to -1 so it
-    sorts first.  Rows are ordered ROW_BLOCK at a time, so memory stays
-    O(ROW_BLOCK * n) beyond the (n, k) result.
+    sorts first.  Rows are ordered in `row_blocks` of width n, so each
+    temporary holds about BLOCK_VALUES distances beyond the (n, k) result.
 
     With k < n - 1 a row ranks only the module docstring's candidates, then
     index n, +inf from every row.  None the exact path lists is dropped: the
@@ -156,8 +168,8 @@ def neighbour_order(instances: np.ndarray, max_neighbours: int | None = None) ->
             G = X if np.isfinite(8 * np.einsum("ij,ij->i", X, X).max()) else np.zeros_like(X)
         s, cross = np.einsum("ij,ij->i", G, G), np.ascontiguousarray(-2.0 * G.T)
         slack = 16 * (X.shape[1] + 4) * 2.0**-53 * (s + s.max()) + 2.0**-999  # 2 T_i
-    for lo in range(0, n, ROW_BLOCK):
-        rows = everyone[lo:lo + ROW_BLOCK]
+    for block in row_blocks(n, n):
+        rows = everyone[block]
         index = everyone  # the columns each row ranks
         if k + 1 < n:
             # only the k + 1 nearest, self included, can be listed: rank just

@@ -14,7 +14,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .complexity import CostClass, CostModel, DEFAULT_COST_MODEL, baseline_complexity
-from .dataset import Dataset, nearest, sq_distances
+from .dataset import Dataset, nearest, row_blocks, sq_distances
 from .evolution import LABEL_FOLDS, EvolutionConfig, FrontEntry, RunResult, derive_rng
 from .expr import Individual, eval_individual, to_dot
 
@@ -85,6 +85,7 @@ def _cv_accuracy(E, labels, k, folds, rng, order=None) -> tuple[float, float] | 
     A stored row lists the other rows by (squared distance, index), the order
     `nearest` takes training rows in, so its first entries outside the fold
     are the nearest training rows.  None if a capped row lists too few.
+    Test rows are taken in `dataset.row_blocks` as wide as the training rows.
     """
     if labels is None:
         raise ValueError("labels are required for classification scoring")
@@ -105,18 +106,20 @@ def _cv_accuracy(E, labels, k, folds, rng, order=None) -> tuple[float, float] | 
     accuracies = []
     for f in range(folds):
         in_fold = assignment == f
-        test = np.flatnonzero(in_fold)
-        kk = min(k, n - test.shape[0])
-        if order is None:
-            train = np.flatnonzero(~in_fold)
-            voters = train[nearest(sq_distances(E[test], E, train), kk)]
-        else:
-            listed = order[test, :kk + test.shape[0] - 1]  # only |test| - 1 rows share the fold
-            keep = ~in_fold[listed]
-            keep &= np.cumsum(keep, axis=1) <= kk
-            if keep.sum() < kk * test.shape[0]:
-                return None
-            voters = listed[keep].reshape(-1, kk)
+        test, train = np.flatnonzero(in_fold), np.flatnonzero(~in_fold)
+        kk = min(k, train.shape[0])
+        voters = np.empty((test.shape[0], kk), dtype=np.intp)
+        for block in row_blocks(test.shape[0], train.shape[0]):
+            rows = test[block]
+            if order is None:
+                voters[block] = train[nearest(sq_distances(E[rows], E, train), kk)]
+            else:
+                listed = order[rows, :kk + test.shape[0] - 1]  # only |test| - 1 share the fold
+                keep = ~in_fold[listed]
+                keep &= np.cumsum(keep, axis=1) <= kk
+                if keep.sum() < kk * rows.shape[0]:
+                    return None
+                voters[block] = listed[keep].reshape(-1, kk)
         votes = np.bincount((np.arange(test.shape[0])[:, None] * n_classes
                              + y[voters]).ravel(), minlength=test.shape[0] * n_classes)
         # argmax keeps the first, i.e. smallest, class of a tied vote

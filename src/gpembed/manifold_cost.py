@@ -28,7 +28,7 @@ import functools
 
 import numpy as np
 
-from .dataset import Dataset, sq_distances
+from .dataset import Dataset, row_blocks, sq_distances
 from .expr import Individual, eval_individual
 
 
@@ -144,7 +144,8 @@ def embedding_cost(embedding: np.ndarray, neighbour_order: np.ndarray) -> float:
     """Mean (1 - spearman)/2 between input-order and embedding-order neighbours.
 
     Only the ranked pairs (i, neighbour_order[i, j]) get a distance, squared
-    and summed in column order as `dataset.sq_distances` documents.  Raises
+    and summed in column order as `dataset.sq_distances` documents, one
+    `dataset.row_blocks` block of rows at a time.  Raises
     ValueError unless the embedding is finite, (n, t), and n is `neighbour_order`'s.
     """
     E = np.asarray(embedding, dtype=np.float64)
@@ -159,8 +160,10 @@ def embedding_cost(embedding: np.ndarray, neighbour_order: np.ndarray) -> float:
     if width < 2:
         rho = np.zeros(n)  # a single neighbour carries no ordering information
     else:
-        # squared distances rank identically to distances and skip the sqrt
-        rho = _rank_correlations(sq_distances(E, E, neighbour_order))
+        rho = np.empty(n)
+        for rows in row_blocks(n, width):
+            # squared distances rank identically to distances and skip the sqrt
+            rho[rows] = _rank_correlations(sq_distances(E[rows], E, neighbour_order[rows]))
     return float(np.mean((1.0 - rho) / 2.0))
 
 

@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from gpembed import dataset
 from gpembed.dataset import (
-    ROW_BLOCK,
+    BLOCK_VALUES,
     Dataset,
     DatasetError,
     from_arrays,
@@ -21,6 +21,7 @@ from gpembed.dataset import (
     sq_distances,
 )
 from gpembed.expr import FLOAT_MAX, Individual, eval_individual, parse
+from gpembed.harness import knn_cv_accuracy
 from gpembed.manifold_cost import embedding_cost
 from oracles import brute_nearest, brute_neighbour_order
 
@@ -109,12 +110,14 @@ class TestNeighbourOrder:
         assert np.array_equal(capped, full[:, :4])
 
     @pytest.mark.parametrize("levels, dims", [(4, 3), (3, 2)])
-    def test_matches_bruteforce_across_row_blocks(self, levels, dims):
+    def test_matches_bruteforce_across_row_blocks(self, levels, dims, monkeypatch):
         # a coarse grid forces exact distance ties in every row block; on the
         # 3 x 3 grid each point has ~33 duplicates, so with 20 neighbours many
-        # rows list only lower-index duplicates and never reach themselves
+        # rows list only lower-index duplicates and never reach themselves.
+        # Blocks of 70 rows: four full ones, then a partial one of 20
+        monkeypatch.setattr(dataset, "BLOCK_VALUES", 70 * 300)
         rng = np.random.default_rng(41)
-        pts = rng.integers(0, levels, size=(ROW_BLOCK + 44, dims)).astype(float)
+        pts = rng.integers(0, levels, size=(300, dims)).astype(float)
         want = brute_neighbour_order(pts)
         assert neighbour_order(pts).tolist() == want
         assert neighbour_order(pts, max_neighbours=20).tolist() == [row[:20] for row in want]
@@ -125,7 +128,7 @@ class TestNeighbourOrder:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        st.integers(3, ROW_BLOCK + 44),
+        st.integers(3, 300),
         st.integers(1, 4),
         st.integers(1, 4),
         st.booleans(),
@@ -140,15 +143,19 @@ class TestNeighbourOrder:
         # case's sort, so unscaled grids also meet the brute-force oracle;
         # a coarse integer grid ties many distances, the scales reach
         # subnormal squares and squared norms that overflow, and the offset
-        # makes the approximate distance round exact ties apart
+        # makes the approximate distance round exact ties apart.  Blocks of
+        # max(1, (n - 1) // 4) rows: at least four once n >= 4; at n = 300,
+        # four of 74 rows, then a partial one of 4
         rng = np.random.default_rng(seed)
         pts = rng.integers(0, levels, size=(n, dims)).astype(float)
         if jitter:
             pts += rng.normal(size=pts.shape)
         pts = pts * scale + offset
         k = {"1": 1, "2": 2, "n-2": n - 2}[which]
-        capped = neighbour_order(pts, max_neighbours=k)
-        assert np.array_equal(capped, neighbour_order(pts)[:, :k])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dataset, "BLOCK_VALUES", n * max(1, (n - 1) // 4))
+            capped = neighbour_order(pts, max_neighbours=k)
+            assert np.array_equal(capped, neighbour_order(pts)[:, :k])
         if not jitter and scale == 1.0 and offset == 0.0:
             # small-integer squared distances: the oracle's sqrt keeps their order
             assert capped.tolist() == [row[:k] for row in brute_neighbour_order(pts)]
@@ -268,10 +275,9 @@ class TestMemory:
         assert peak < 32e6, f"peak allocation {peak / 1e6:.1f} MB"
 
     def test_neighbour_order_holds_a_few_row_blocks(self):
-        # exact distances for every pair peaked near 3 blocks of n float64s;
-        # the candidate filter must stay under 4 blocks plus the (n, k) result.
-        # On identical rows every column is a candidate, so each block ranks
-        # n columns; that must stay under 6 blocks
+        # a block is BLOCK_VALUES float64s; the candidate filter must stay under
+        # 4 blocks plus the (n, k) result.  On identical rows every column is a
+        # candidate, so each block ranks n columns; that must stay under 6 blocks
         n, m, k = 2000, 10, 50
         for X, blocks in ((np.random.default_rng(6).normal(size=(n, m)), 4),
                           (np.ones((n, m)), 6)):
@@ -282,10 +288,41 @@ class TestMemory:
             finally:
                 tracemalloc.stop()
             assert order.shape == (n, k)
-            bound = blocks * ROW_BLOCK * n * 8 + n * k * 8
+            bound = blocks * BLOCK_VALUES * 8 + n * k * 8
             assert peak < bound, f"peak allocation {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
         # every distance ties, so each row lists the others by index
         assert order.tolist() == [[j for j in range(k + 1) if j != i][:k] for i in range(n)]
+
+    def test_all_neighbour_cost_holds_a_few_blocks(self):
+        # every row ranks all n - 1 others, so one (n, n - 1) temporary would be
+        # 18 MB; the blocks must stay under 4 of BLOCK_VALUES float64s
+        n = 1500
+        rng = np.random.default_rng(7)
+        order = neighbour_order(rng.normal(size=(n, 5)))
+        embedding = rng.normal(size=(n, 3))
+        tracemalloc.start()
+        try:
+            embedding_cost(embedding, order)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = 4 * BLOCK_VALUES * 8 + n * 8
+        assert peak < bound, f"peak allocation {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
+
+    def test_knn_cv_accuracy_holds_a_few_blocks(self):
+        # a fold of 200 test rows against 1,800 training rows is 2.9 MB of
+        # distances at once; the blocks must stay under 3 of BLOCK_VALUES float64s
+        n = 2000
+        rng = np.random.default_rng(8)
+        X, labels = rng.normal(size=(n, 10)), rng.integers(0, 3, size=n)
+        tracemalloc.start()
+        try:
+            knn_cv_accuracy(X, labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = 3 * BLOCK_VALUES * 8
+        assert peak < bound, f"peak allocation {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
 
 
 class TestLoadCsv:
