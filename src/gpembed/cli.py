@@ -10,6 +10,7 @@ import argparse
 import os
 import re
 import sys
+import tempfile
 import warnings
 from typing import NamedTuple
 
@@ -230,11 +231,9 @@ def cmd_run(args) -> int:
             raise ConfigError(f"{_label('eval.k')} = {k} exceeds a fold's {train} training rows")
 
     out_dir = values["out.dir"]
-    try:
+    try:  # refused before the search; config.resolved is written with the reports
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "config.resolved"), "w", encoding="utf-8",
-                  newline="\n") as fh:
-            fh.write(resolved)
+        tempfile.TemporaryFile(dir=out_dir).close()
     except OSError as exc:
         raise ConfigError(f"{_label('out.dir')} = {out_dir}: {exc}") from exc
 
@@ -244,6 +243,9 @@ def cmd_run(args) -> int:
                                  model=cost_model)
     except MemoryError:
         raise no_memory from None
+    with open(os.path.join(out_dir, "config.resolved"), "w", encoding="utf-8",
+              newline="\n") as fh:
+        fh.write(resolved)
 
     print(f"archive: {len(result.archive)} non-dominated individuals "
           f"({len(result.final_front)} in the final population front)")

@@ -13,10 +13,12 @@ takes ``max(1, BLOCK_VALUES // w)`` rows at a time for rows w distances wide
 one row if wider, whatever n is.  Each row's result depends on that row
 alone, so the blocks never change an output.
 
-With k < n - 1 neighbours kept, `neighbour_order` ranks exactly only each
-row's candidates: the columns whose Gram-form value ``s_j - 2 x_i . x_j``
+`gram_candidates` filters the columns that two loops rank exactly:
+`neighbour_order` with k < n - 1 neighbours kept, and the KNN harness's one
+pass over every fold.  A row's candidates are the columns (outside its own
+group, for the harness its fold) whose Gram-form value ``s_j - 2 x_i . x_j``
 (s the squared norms; `np.einsum`, one thread) is at most ``A_i + 2 T_i``,
-A_i the row's (k+1)-th smallest value and, for m columns,
+A_i the row's (kth_i + 1)-th smallest value and, for m columns,
 ``T_i = 8 (m + 4) 2**-53 (s_i + max s) + 2**-1000``.
 """
 from __future__ import annotations
@@ -130,6 +132,43 @@ def nearest(d2: np.ndarray, k: int) -> np.ndarray:
     return cols.reshape(-1, k)
 
 
+def gram_candidates(X: np.ndarray, kth, edges=()):
+    """Yield each of `row_blocks(n, n)` with its rows' candidates (module
+    docstring) in column order, padded with n to a width above max(kth).
+    Rows edges[g]:edges[g + 1] form group g, whose columns its rows leave out.
+
+    No column up to a row's exact (kth_i + 1)-th smallest squared distance
+    is dropped, ties included: the value plus s_i and `sq_distances`' e_ij
+    each sum terms of total size <= 2 (s_i + s_j), with at most m + 2
+    roundings on any term's path, so in any order each errs by about
+    2 (m + 2) 2**-53 (s_i + s_j) at most, and the two differ by under T_i
+    (2**-1000 covers underflow).  The kth_i + 1 columns at or below A_i have
+    e_ij <= A_i + s_i + T_i, so the row's exact (kth_i + 1)-th smallest does
+    too, and any column at or below that has a value <= e_ij - s_i + T_i <=
+    A_i + 2 T_i.  If 8 max s overflows, every value is 0: all are candidates.
+    """
+    n, kth = X.shape[0], np.broadcast_to(kth, X.shape[:1])
+    kths = np.flatnonzero(np.bincount(kth))  # each distinct kth, ascending
+    with np.errstate(over="ignore"):
+        G = X if np.isfinite(8 * np.einsum("ij,ij->i", X, X).max()) else np.zeros_like(X)
+    s, cross = np.einsum("ij,ij->i", G, G), np.ascontiguousarray(-2.0 * G.T)
+    slack = 16 * (X.shape[1] + 4) * 2.0**-53 * (s + s.max()) + 2.0**-999  # 2 T_i
+    for block in row_blocks(n, n):
+        approx = np.einsum("ij,jk->ik", G[block], cross)
+        approx += s  # ||x_i - x_j||^2 - s_i, rounded
+        for a, b in zip(edges[:-1], edges[1:]):  # empty slices for groups outside the block
+            approx[max(a - block.start, 0):max(b - block.start, 0), a:b] = np.inf
+        A = np.partition(approx, kths, axis=1)[np.arange(approx.shape[0]), kth[block], None]
+        flat = np.flatnonzero(approx <= A + slack[block, None])
+        del approx  # the caller's exact pass runs without it
+        counts = np.diff(np.searchsorted(flat, np.arange(A.shape[0] + 1) * n))
+        filled = np.arange(max(counts.max(), kths[-1] + 1)) < counts[:, None]
+        index = np.full(filled.shape, n)  # padding: past every candidate
+        index[filled] = flat % n  # row by row, in column order
+        del flat  # nor this: n values a row when every column is a candidate
+        yield block, index
+
+
 def neighbour_order(instances: np.ndarray, max_neighbours: int | None = None) -> np.ndarray:
     """Row i lists every j != i by ascending Euclidean distance from i.
 
@@ -140,16 +179,8 @@ def neighbour_order(instances: np.ndarray, max_neighbours: int | None = None) ->
     sorts first.  Rows are ordered in `row_blocks` of width n, so each
     temporary holds about BLOCK_VALUES distances beyond the (n, k) result.
 
-    With k < n - 1 a row ranks only the module docstring's candidates, then
-    index n, +inf from every row.  None the exact path lists is dropped: the
-    value plus s_i and `sq_distances`' e_ij each sum terms of total size
-    <= 2 (s_i + s_j), with at most m + 2 roundings on any term's path, so in
-    any order each errs by about 2 (m + 2) 2**-53 (s_i + s_j) at most, and the
-    two differ by under T_i (2**-1000 covers underflow).  The k + 1 columns at
-    or below A_i have e_ij <= A_i + s_i + T_i, so the row's exact (k+1)-th
-    smallest does too, and any column at or below that, self included, has a
-    value <= e_ij - s_i + T_i <= A_i + 2 T_i.  If 8 max s overflows, every
-    value is 0 and every column a candidate.
+    With k < n - 1 a row ranks only its `gram_candidates` for kth = k (the k
+    nearest and itself), then index n, +inf from every row.
     """
     X = np.asarray(instances, dtype=np.float64)
     n = X.shape[0]
@@ -163,30 +194,17 @@ def neighbour_order(instances: np.ndarray, max_neighbours: int | None = None) ->
     everyone = np.arange(n)
     out = np.empty((n, k), dtype=np.intp)
     padded = np.vstack([X, np.full((1, X.shape[1]), np.inf)])  # index n: +inf from any row
-    if k + 1 < n:
-        with np.errstate(over="ignore"):
-            G = X if np.isfinite(8 * np.einsum("ij,ij->i", X, X).max()) else np.zeros_like(X)
-        s, cross = np.einsum("ij,ij->i", G, G), np.ascontiguousarray(-2.0 * G.T)
-        slack = 16 * (X.shape[1] + 4) * 2.0**-53 * (s + s.max()) + 2.0**-999  # 2 T_i
-    for block in row_blocks(n, n):
+    if k + 1 < n:  # only the k + 1 nearest, self included, can be listed
+        blocks = gram_candidates(X, k)
+    else:
+        blocks = ((block, everyone) for block in row_blocks(n, n))
+    for block, index in blocks:
         rows = everyone[block]
-        index = everyone  # the columns each row ranks
-        if k + 1 < n:
-            # only the k + 1 nearest, self included, can be listed: rank just
-            # the candidates, which keep their column order
-            approx = np.einsum("ij,jk->ik", G[rows], cross)
-            approx += s  # ||x_i - x_j||^2 - s_i, rounded
-            close = approx <= np.partition(approx, k, axis=1)[:, k, None] + slack[rows, None]
-            del approx  # the exact pass below runs without it
-            counts = np.count_nonzero(close, axis=1)
-            filled = np.arange(counts.max()) < counts[:, None]
-            index = np.full(filled.shape, n)  # padding: sorts after every candidate
-            index[filled] = np.flatnonzero(close) % n  # row by row, in column order
         d2 = sq_distances(X[rows], padded, index)
         d2[index == rows[:, None]] = -1.0  # self sorts first, before any duplicate
         order = np.argsort(d2, axis=1, kind="stable")[:, 1:k + 1]
         out[rows] = np.take_along_axis(index, order, axis=1) if k + 1 < n else order
-        del d2, order  # the next block's exact pass runs without them
+        del d2, order  # the next block's filter runs without them
     return out
 
 

@@ -14,7 +14,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .complexity import CostClass, CostModel, DEFAULT_COST_MODEL, baseline_complexity
-from .dataset import Dataset, nearest, row_blocks, sq_distances
+from .dataset import Dataset, gram_candidates, nearest, row_blocks, sq_distances
 from .evolution import LABEL_FOLDS, EvolutionConfig, FrontEntry, RunResult, derive_rng
 from .expr import Individual, eval_individual, to_dot
 
@@ -74,7 +74,9 @@ def knn_cv_accuracy(
 
     Each test row votes with its k nearest training rows, or with every
     training row when a fold has k or fewer.  Distance ties resolve to the
-    lower instance index, vote ties to the smallest class id.
+    lower instance index, vote ties to the smallest label.  Exact distances
+    are taken only to the candidates of the Gram filter that also serves
+    `dataset.neighbour_order` (`dataset.gram_candidates`).
     """
     return _cv_accuracy(np.asarray(embedding, dtype=np.float64), labels, k, folds, rng)
 
@@ -82,14 +84,14 @@ def knn_cv_accuracy(
 def _cv_accuracy(E, labels, k, folds, rng, order=None) -> tuple[float, float] | None:
     """`knn_cv_accuracy`; given E's `neighbour_order`, the voters are read from it.
 
-    A stored row lists the other rows by (squared distance, index), the order
-    `nearest` takes training rows in, so its first entries outside the fold
-    are the nearest training rows.  None if a capped row lists too few.
-    Test rows are taken in `dataset.row_blocks` as wide as the training rows.
+    One pass takes the rows sorted by fold, so that a row's own fold is one
+    column slice, in `dataset.row_blocks` of width n.  A row's voters are its
+    `nearest` among its `dataset.gram_candidates` outside its fold, sorted by
+    index, or its first stored entries outside the fold: the stored order is
+    `nearest`'s.  None if a capped row lists too few.
     """
     if labels is None:
         raise ValueError("labels are required for classification scoring")
-    y = np.asarray(labels)
     n = E.shape[0]
     if folds < 2:
         raise ValueError(f"folds must be >= 2, got {folds}")
@@ -101,30 +103,38 @@ def _cv_accuracy(E, labels, k, folds, rng, order=None) -> tuple[float, float] | 
         raise ValueError("embedding contains NaN or infinite values")
     if rng is None:
         rng = np.random.default_rng(0)
+    classes, y = np.unique(np.asarray(labels), return_inverse=True)  # ids in label order
     assignment = fold_assignment(y, folds, rng)
-    n_classes = int(y.max()) + 1
-    accuracies = []
-    for f in range(folds):
-        in_fold = assignment == f
-        test, train = np.flatnonzero(in_fold), np.flatnonzero(~in_fold)
-        kk = min(k, train.shape[0])
-        voters = np.empty((test.shape[0], kk), dtype=np.intp)
-        for block in row_blocks(test.shape[0], train.shape[0]):
-            rows = test[block]
-            if order is None:
-                voters[block] = train[nearest(sq_distances(E[rows], E, train), kk)]
-            else:
-                listed = order[rows, :kk + test.shape[0] - 1]  # only |test| - 1 share the fold
-                keep = ~in_fold[listed]
-                keep &= np.cumsum(keep, axis=1) <= kk
-                if keep.sum() < kk * rows.shape[0]:
-                    return None
-                voters[block] = listed[keep].reshape(-1, kk)
-        votes = np.bincount((np.arange(test.shape[0])[:, None] * n_classes
-                             + y[voters]).ravel(), minlength=test.shape[0] * n_classes)
-        # argmax keeps the first, i.e. smallest, class of a tied vote
-        predictions = votes.reshape(-1, n_classes).argmax(axis=1)
-        accuracies.append(float(np.mean(predictions == y[test])))
+    by_fold = np.argsort(assignment, kind="stable")
+    fold, sizes = assignment[by_fold], np.bincount(assignment, minlength=folds)
+    edges = np.r_[0, np.cumsum(sizes)]  # fold f: rows edges[f]:edges[f + 1] of by_fold
+    kk = np.minimum(k, n - sizes)[fold]  # voters per row
+    voters = np.full((n, kk.max()), n)  # voter n pads a row and votes for no class
+    if order is None:
+        blocks = gram_candidates(E[by_fold], kk - 1, edges)
+        padded = np.vstack([E, np.full((1, E.shape[1]), np.inf)])  # index n: +inf from any row
+    else:
+        blocks = ((block, None) for block in row_blocks(n, n))
+        listed = order[:, :kk.max() + sizes.max() - 1]  # only |fold| - 1 share a row's fold
+    for block, index in blocks:
+        rows = by_fold[block]
+        if order is None:
+            index = np.sort(np.append(by_fold, n)[index], axis=1)  # by instance index
+            near = nearest(sq_distances(E[rows], padded, index), voters.shape[1])
+            voters[block] = index[np.arange(rows.shape[0])[:, None], near]
+        else:
+            got = listed[rows]
+            keep = assignment[got] != fold[block, None]
+            keep &= np.cumsum(keep, axis=1) <= kk[block, None]
+            if (keep.sum(axis=1) < kk[block]).any():
+                return None
+            voters[block][np.arange(voters.shape[1]) < kk[block, None]] = got[keep]
+    c = classes.shape[0]
+    votes = np.bincount((np.arange(n)[:, None] * (c + 1) + np.append(y, c)[voters]).ravel(),
+                        minlength=n * (c + 1))
+    # argmax keeps the first, i.e. smallest, class of a tied vote
+    hits = votes.reshape(n, c + 1)[:, :c].argmax(axis=1) == y[by_fold]
+    accuracies = [float(np.mean(hits[a:b])) for a, b in zip(edges[:-1], edges[1:])]
     return float(np.mean(accuracies)), float(np.std(accuracies))
 
 

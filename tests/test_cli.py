@@ -201,6 +201,19 @@ class TestRunCommand:
         assert all((out / "trees" / name).read_text(encoding="utf-8") == "kept"
                    for name in others)
 
+    def test_failed_run_leaves_the_previous_files(self, tiny_csv, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        assert main(run_args(tiny_csv, out)) == 0
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        assert out / "config.resolved" in before and out / "trees" / "0.sexp" in before
+
+        def allocate(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr("gpembed.evolution.run", allocate)
+        assert main(run_args(tiny_csv, out, extra=["--seed", "8"])) == 1
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
     # an allocation in each phase; tiny.csv has 20 rows
     @pytest.mark.parametrize("target, extra, needed", [
         ("gpembed.dataset.neighbour_order", [], "20 x 19"),

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import WINE_CSV, make_clusters, make_separated_clusters, small_config
-from gpembed.dataset import from_arrays, load_csv
+from gpembed import dataset
+from gpembed.dataset import from_arrays, load_csv, neighbour_order
 from gpembed.evolution import (LABEL_FOLDS, EvolutionConfig, FrontEntry, GenerationStats,
                                RunResult, derive_rng, run)
 from gpembed.expr import Individual, parse
@@ -58,6 +60,73 @@ class TestKnn:
         assignment = fold_assignment(labels, 10, np.random.default_rng(k))
         assert got == _brute_knn_cv(X, labels, assignment, k, 10)
 
+    @pytest.mark.filterwarnings("ignore:class with .* non-stratified folds:UserWarning")
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(2, 40),
+        st.integers(1, 3),
+        st.sampled_from(["grid", "duplicates", "normal", "offset-grid", "huge"]),
+        st.integers(2, 10),
+        st.integers(1, 3),
+        st.booleans(),
+        st.integers(1, 45),
+        st.integers(1, 4),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(4, 2, "offset-grid", 2, 1, False, 1, 1, 5)  # a zero slack drops a tied voter
+    def test_one_pass_matches_bruteforce(self, n, dims, kind, folds, classes, stratified, k,
+                                         block_rows, seed):
+        # coarse integer grids and repeated rows tie many distances at the k-th;
+        # the offset grid's Gram values round exact ties apart, so a zero slack
+        # drops tied columns; 1e154 squares overflow, which empties the Gram
+        # filter (every column outside the fold is a candidate) and ties
+        # distances at +inf; blocks of 1-4 rows straddle the fold boundaries
+        rng = np.random.default_rng(seed)
+        n = max(n, folds * classes if stratified else folds)
+        X = {
+            "grid": lambda: rng.integers(0, 3, size=(n, dims)).astype(float),
+            "duplicates": lambda: np.repeat(rng.normal(size=(n, dims)), 4, axis=0)[:n],
+            "normal": lambda: rng.normal(size=(n, dims)),
+            "offset-grid": lambda: rng.integers(0, 3, size=(n, dims)) + 1e8,
+            "huge": lambda: rng.normal(size=(n, dims)) * 1e154,
+        }[kind]()
+        if kind == "huge":
+            X[0, 0] = 1e154  # 8 max s overflows whatever the draw
+        labels = rng.permutation(np.arange(n) % classes)
+        if not stratified:
+            labels[0] = classes  # a class of one: fewer members than folds
+        assignment = fold_assignment(labels, folds, np.random.default_rng(seed))
+        want = _brute_knn_cv(X, labels, assignment, k, folds)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dataset, "BLOCK_VALUES", n * block_rows)
+            assert knn_cv_accuracy(X, labels, k=k, folds=folds,
+                                   rng=np.random.default_rng(seed)) == want
+            # the stored-order source, capped or not, reads the same voters
+            order = neighbour_order(X, max_neighbours=int(rng.integers(1, n)))
+            got = harness._cv_accuracy(X, labels, k, folds, np.random.default_rng(seed), order)
+            assert got in (None, want)
+            assert harness._cv_accuracy(X, labels, k, folds, np.random.default_rng(seed),
+                                        neighbour_order(X)) == want
+
+    def test_labels_need_not_be_class_codes(self):
+        # two clusters 10 apart: each row's 5 nearest share its label, whatever
+        # the labels are
+        X, _ = make_separated_clusters(50, 2, 2, seed=1)
+        for labels in (np.repeat([1, -1], 50), np.repeat([0.5, -2.5], 50),
+                       np.repeat(["b", "a"], 50)):
+            assert knn_cv_accuracy(X, labels, k=5, folds=10,
+                                   rng=np.random.default_rng(0)) == (1.0, 0.0)
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_labels_in_code_order_score_as_their_codes(self, k):
+        # labels mapped in order score as their codes do, tied votes included
+        rng = np.random.default_rng(k)
+        X = rng.integers(0, 3, size=(60, 2)).astype(float)
+        codes = rng.integers(0, 3, size=60)
+        want = knn_cv_accuracy(X, codes, k=k, rng=np.random.default_rng(1))
+        for labels in (codes * 2.5 - 7.0, np.array(["a", "b", "c"])[codes], codes + 10):
+            assert knn_cv_accuracy(X, labels, k=k, rng=np.random.default_rng(1)) == want
+
     def test_missing_labels_rejected(self):
         with pytest.raises(ValueError, match="labels"):
             knn_cv_accuracy(np.zeros((10, 2)), None)
@@ -97,7 +166,7 @@ def _brute_knn_cv(X, labels, assignment, k, folds):
         hits = []
         for i in np.flatnonzero(assignment == f):
             ranked = sorted(
-                (sum((a - b) ** 2 for a, b in zip(rows[i], rows[j])), j)
+                (sum((a - b) * (a - b) for a, b in zip(rows[i], rows[j])), j)
                 for j in np.flatnonzero(assignment != f)
             )
             votes = [0] * (int(labels.max()) + 1)
