@@ -94,22 +94,22 @@ def sq_distances(points: np.ndarray, others: np.ndarray, index: np.ndarray) -> n
     `index` broadcasts against ``(len(points), 1)``.  Squared coordinate
     differences are added one column at a time, in column order, the same
     left-to-right sum the test oracles make, so distances that are equal in
-    exact arithmetic tie whatever SIMD path numpy takes.  Only the gathered
-    pairs are held, never an n x n x d difference array.
+    exact arithmetic tie whatever SIMD path numpy takes.  Each column's
+    gather is a fresh array, differenced and squared in place; an index that
+    all rows share is gathered once, and only its difference is full-size.
+    Only the gathered pairs are held, never an n x n x d difference array.
     """
     P = np.asarray(points, dtype=np.float64)
     O = np.asarray(others, dtype=np.float64)
     shape = np.broadcast_shapes((P.shape[0], 1), np.shape(index))
     if P.shape[1] == 0:
         return np.zeros(shape)
-    d = np.empty(shape)
     with np.errstate(over="ignore"):  # coordinates far apart give +inf, which ranks last
-        acc = P[:, 0, None] - O[:, 0][index]  # the sum starts here: 0.0 + x is x for x >= 0
-        acc *= acc
-        for c in range(1, P.shape[1]):
-            np.subtract(P[:, c, None], O[:, c][index], out=d)
+        for c in range(P.shape[1]):
+            d = O[:, c][index]
+            d = np.subtract(P[:, c, None], d, out=d if d.shape == shape else None)
             d *= d
-            acc += d
+            acc = d if c == 0 else np.add(acc, d, out=acc)  # 0.0 + x is x for x >= 0
     return acc
 
 

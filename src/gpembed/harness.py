@@ -93,6 +93,8 @@ def _cv_accuracy(E, labels, k, folds, rng, order=None) -> tuple[float, float] | 
     if labels is None:
         raise ValueError("labels are required for classification scoring")
     n = E.shape[0]
+    if len(labels) != n:
+        raise ValueError(f"got {len(labels)} labels for {n} embedding rows")
     if folds < 2:
         raise ValueError(f"folds must be >= 2, got {folds}")
     if n < folds:

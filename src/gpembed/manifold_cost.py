@@ -98,8 +98,9 @@ def _rank_correlations(d2: np.ndarray) -> np.ndarray:
     (the identity's) are exact in float64, so rho is bitwise what
     `_row_correlations` gives.  A row in which two do ("near-tied", which
     includes every exact tie) goes through `_row_correlations` itself, with
-    the averaged ranks of `_tied_rank_correlations`.  `d2` must hold no sign
-    bit and no NaN, as a sum of squares of finite values does not.
+    the averaged ranks of `_tied_rank_correlations`; they are found in one
+    flat pass over the sorted keys, less the pairs that join two rows.  `d2`
+    must hold no sign bit and no NaN, as a sum of squares of finite values does not.
     """
     width = d2.shape[1]
     columns, ident, ident_ss, offset = _rank_constants(width)
@@ -108,7 +109,14 @@ def _rank_correlations(d2: np.ndarray) -> np.ndarray:
     keys = d2.view(np.int64) & ~low  # == (bits >> shift) << shift
     keys |= columns
     keys.sort(axis=1)
-    near_tied = ((keys[:, 1:] ^ keys[:, :-1]) <= low).any(axis=1)
+    flat = keys.reshape(-1)
+    hits = (flat[1:] ^ flat[:-1]) <= low  # hits[p]: flat keys p and p + 1 share high bits
+    hits[width - 1::width] = False  # one row's last key and the next row's first
+    hits = np.flatnonzero(hits)
+    hits //= width  # each hit's row
+    near_tied = np.zeros(keys.shape[0], dtype=bool)
+    near_tied[hits] = True
+    del hits  # up to one per key: the product below runs without them
     keys &= low  # each row's argsort
     num = keys @ ident  # in float64, exact while a row's sum stays below 2**53
     num += offset

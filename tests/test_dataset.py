@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -133,17 +133,19 @@ class TestNeighbourOrder:
         st.integers(1, 4),
         st.booleans(),
         st.sampled_from([1.0, 1e-160, 2.0**-539, 1e-310, 1e154, 1e200]),
-        st.sampled_from([0.0, 1e6]),
+        st.sampled_from([0.0, 1e6, 1e8]),
         st.integers(0, 2**32 - 1),
         st.sampled_from(["1", "2", "n-2"]),
     )
+    @example(4, 2, 3, False, 1.0, 1e8, 2, "1")  # a zero slack drops a tied candidate
     def test_candidate_filter_keeps_the_exact_order(self, n, dims, levels, jitter, scale,
                                                     offset, seed, which):
         # the all-neighbour case never filters, but it shares the capped
         # case's sort, so unscaled grids also meet the brute-force oracle;
         # a coarse integer grid ties many distances, the scales reach
-        # subnormal squares and squared norms that overflow, and the offset
-        # makes the approximate distance round exact ties apart.  Blocks of
+        # subnormal squares and squared norms that overflow, and the offsets
+        # (1e8 as in the KNN test) make the approximate distance round exact
+        # ties apart, so a zero slack drops tied candidates.  Blocks of
         # max(1, (n - 1) // 4) rows: at least four once n >= 4; at n = 300,
         # four of 74 rows, then a partial one of 4
         rng = np.random.default_rng(seed)
@@ -238,23 +240,44 @@ class TestNearest:
         assert nearest(d2, 7).tolist() == [list(range(7))]
 
 
+def left_to_right(points, others, index):
+    """`sq_distances` by one scalar sum per pair, column 0 first."""
+    index = np.broadcast_to(index, np.broadcast_shapes((len(points), 1), np.shape(index)))
+    want = np.zeros(index.shape)
+    for i, j in np.ndindex(index.shape):
+        total = 0.0
+        for c in range(points.shape[1]):
+            d = float(points[i, c]) - float(others[index[i, j], c])
+            total += d * d
+        want[i, j] = total
+    return want
+
+
 class TestSqDistances:
     def test_one_and_zero_columns_match_left_to_right_sum(self):
         rng = np.random.default_rng(4)
         index = rng.integers(0, 6, size=(6, 4))
         for width in (0, 1, 3):
             P = rng.normal(size=(6, width)) * 1e154  # some squares overflow to +inf
-            want = np.zeros(index.shape)
-            for i, j in np.ndindex(index.shape):
-                total = 0.0
-                for c in range(width):
-                    d = float(P[i, c]) - float(P[index[i, j], c])
-                    total += d * d
-                want[i, j] = total
             got = sq_distances(P, P, index)
             assert got.shape == index.shape
-            assert got.tobytes() == want.tobytes()
+            assert got.tobytes() == left_to_right(P, P, index).tobytes()
             assert np.isinf(got).any() == (width > 0)
+
+    @pytest.mark.parametrize("width", [1, 2, 5])
+    def test_one_index_for_all_rows(self, width):
+        # neighbour_order's all-neighbour call: a 1-D index that every row of
+        # a block shares, into the points padded with a row of +inf
+        rng = np.random.default_rng(width)
+        X = rng.integers(0, 3, size=(7, width)) + rng.normal(size=(7, width)) * 1e-3
+        padded = np.vstack([X, np.full((1, width), np.inf)])
+        points, before = padded[2:5], padded.copy()
+        for index in (np.arange(7), np.arange(8)[::-1]):
+            got = sq_distances(points, padded, index)
+            assert got.shape == (3, index.shape[0])
+            assert got.tobytes() == left_to_right(points, padded, index).tobytes()
+            assert padded.tobytes() == before.tobytes()  # points is a view of it
+        assert np.isinf(got[:, 0]).all()  # the padding, from every row
 
 
 class TestMemory:

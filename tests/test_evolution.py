@@ -570,6 +570,55 @@ class TestObjectiveCache:
         assert got == want
 
 
+class TestReferencePath:
+    """A short Wine run writes the same report as one that keeps no per-tree
+    memo, ranks every row with `fractional_ranks` and scores every entry afresh:
+    each fast layer is checked per call elsewhere, this checks the whole run."""
+
+    def report(self, dataset, threads, out_dir, monkeypatch, reference):
+        from gpembed import complexity, expr, harness, manifold_cost
+
+        if reference:
+            def fresh(tree, slot, owner, compute):
+                return compute()
+
+            def ranked(d2):
+                ident = np.arange(1.0, d2.shape[1] + 1.0)
+                return manifold_cost._row_correlations(manifold_cost.fractional_ranks(d2), ident)
+
+            make_entry = evolution._entry
+
+            def entry(ind, scores):  # whatever the objective cache held
+                scores = (manifold_cost.cost(ind, dataset),
+                          complexity.individual_complexity(ind), scores[2])
+                return make_entry(ind, scores)
+
+            monkeypatch.setattr(expr, "memoized", fresh)
+            monkeypatch.setattr(complexity, "memoized", fresh)
+            monkeypatch.setattr(manifold_cost, "_rank_correlations", ranked)
+            monkeypatch.setattr(evolution, "_entry", entry)
+        config = EvolutionConfig(generations=20, population_size=16, moead_neighbourhood=8,
+                                 seed=1, threads=threads)
+        harness.report(run(dataset, config), dataset, config, out_dir)
+        monkeypatch.undo()
+        return {path.relative_to(out_dir).as_posix(): path.read_bytes()
+                for path in sorted(out_dir.rglob("*")) if path.is_file()}
+
+    @pytest.fixture(scope="class")
+    def reference(self, wine_dataset, tmp_path_factory):
+        with pytest.MonkeyPatch.context() as patch:
+            return self.report(wine_dataset, 1, tmp_path_factory.mktemp("reference"), patch, True)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_matches_the_reference_run(self, wine_dataset, reference, threads, tmp_path,
+                                       monkeypatch):
+        got = self.report(wine_dataset, threads, tmp_path, monkeypatch, False)
+        assert "front.csv" in got and any(name.startswith("trees/") for name in got)
+        assert got.keys() == reference.keys()
+        for name in got:
+            assert got[name] == reference[name], name
+
+
 def _dominates(a, b):
     return (
         a.cost <= b.cost

@@ -131,6 +131,12 @@ class TestKnn:
         with pytest.raises(ValueError, match="labels"):
             knn_cv_accuracy(np.zeros((10, 2)), None)
 
+    @pytest.mark.parametrize("count", [30, 50])
+    def test_label_count_must_match_rows(self, count):
+        E = np.random.default_rng(0).normal(size=(40, 3))
+        with pytest.raises(ValueError, match=f"got {count} labels for 40 embedding rows"):
+            knn_cv_accuracy(E, np.arange(count) % 2)
+
     def test_too_few_instances(self):
         with pytest.raises(ValueError, match="10-fold"):
             knn_cv_accuracy(np.zeros((5, 2)), np.zeros(5, dtype=int), folds=10)

@@ -153,6 +153,37 @@ class TestRankKernel:
         assert np.array_equal(_rank_correlations(d2), want)
         assert not want[-1]  # the last row is one tie group
 
+    @pytest.mark.parametrize("width", [3, 4, 17])
+    def test_only_near_tied_rows_take_the_tied_path(self, width, monkeypatch):
+        from gpembed import manifold_cost
+
+        sent = []
+
+        def spy(d2):
+            sent.append(d2.copy())
+            return _tied_rank_correlations(d2)
+
+        def routed(d2):
+            sent.clear()
+            want = _row_correlations(fractional_ranks(d2), np.arange(1.0, width + 1.0))
+            assert np.array_equal(_rank_correlations(d2), want)
+            return np.vstack(sent) if sent else d2[:0]
+
+        monkeypatch.setattr(manifold_cost, "_tied_rank_correlations", spy)
+        rng = np.random.default_rng(width)
+        steps = np.arange(1.0, width + 1.0)
+        # each row's largest value is the next row's smallest: across the row
+        # boundary their keys share high bits, yet no row holds a near-tie
+        chain = np.vstack([rng.permutation(steps + r * (width - 1)) for r in range(5)])
+        assert routed(chain).shape == (0, width)
+        # row 2's only near-tie is its largest pair, the last pair of its sorted keys
+        last = chain.copy()
+        last[2, last[2].argmax()] = last[2].max() - 1.0
+        assert np.array_equal(routed(last), last[2:3])
+        # one repeated value per row: every row is tied
+        flat = np.repeat(rng.permutation(5)[:, None].astype(float), width, axis=1)
+        assert np.array_equal(routed(flat), flat)
+
     def test_against_bruteforce(self):
         rng = np.random.default_rng(5)
         embedding = rng.normal(size=(40, 2))
