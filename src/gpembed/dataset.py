@@ -24,6 +24,8 @@ A_i the row's (kth_i + 1)-th smallest value and, for m columns,
 from __future__ import annotations
 
 import csv
+import ctypes
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -82,8 +84,25 @@ def normalize(matrix: np.ndarray) -> np.ndarray:
 BLOCK_VALUES = 1 << 17  # distances per temporary of a row-blocked loop: 1 MB of float64
 
 
+@functools.cache
+def set_heap_thresholds() -> None:
+    """Once per process, set glibc's mmap threshold to 32 MB and its trim threshold to
+    128 MB, so each loop's freed blocks and n*k temporaries stay in the heap instead of
+    being unmapped or trimmed and faulted back in, zero-filled, by the next call.  A no-op
+    where the C library cannot be loaded (TypeError on Windows) or has no `mallopt`."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 128 << 20)  # M_TRIM_THRESHOLD
+
+
 def row_blocks(n: int, width: int) -> list[slice]:
-    """Slices covering rows 0..n-1 in order, ``max(1, BLOCK_VALUES // width)`` rows each."""
+    """Slices covering rows 0..n-1 in order, ``max(1, BLOCK_VALUES // width)`` rows each.
+    Every distance loop passes through here, so this first sets the heap thresholds."""
+    set_heap_thresholds()
     step = max(1, BLOCK_VALUES // width)
     return [slice(lo, lo + step) for lo in range(0, n, step)]
 
@@ -111,25 +130,6 @@ def sq_distances(points: np.ndarray, others: np.ndarray, index: np.ndarray) -> n
             d *= d
             acc = d if c == 0 else np.add(acc, d, out=acc)  # 0.0 + x is x for x >= 0
     return acc
-
-
-def nearest(d2: np.ndarray, k: int) -> np.ndarray:
-    """``(rows, k)`` columns of each row's k smallest entries, ascending; the
-    lower column goes first among equal values, and `d2` must hold no NaN.
-
-    Exact top-k without a full sort: with v the row's k-th smallest value,
-    every entry up to v is a candidate; only a row tied at v has more than k,
-    and it keeps those below v, then the leftmost equal to v until there are k.
-    """
-    v = np.partition(d2, k - 1, axis=1)[:, k - 1, None]
-    rows, cols = np.divmod(np.flatnonzero(d2 <= v), d2.shape[1])
-    if rows.shape[0] > k * d2.shape[0]:
-        # ordered by row, then value, then column, a candidate's place in its
-        # row is its offset from the row's first candidate
-        by_value = np.lexsort((d2[rows, cols], rows))
-        place = np.arange(rows.shape[0]) - np.searchsorted(rows, rows)
-        cols = cols[np.sort(by_value[place < k])]
-    return cols.reshape(-1, k)
 
 
 def gram_candidates(X: np.ndarray, kth, edges=()):

@@ -21,8 +21,6 @@ before fanning it out, so every thread count evaluates the same genotypes.
 """
 from __future__ import annotations
 
-import ctypes
-import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -271,21 +269,6 @@ def _transformed(entry: FrontEntry) -> tuple[float, float]:
     return (entry.cost, math.log1p(entry.complexity))
 
 
-@functools.cache
-def set_heap_thresholds() -> None:
-    """Once per process, set glibc's mmap threshold to 32 MB and its trim threshold to
-    128 MB, so each cost call's freed n*k temporaries stay in the heap instead of being
-    unmapped or trimmed and faulted back in, zero-filled, by the next call.  A no-op where
-    the C library cannot be loaded (TypeError on Windows) or has no `mallopt`."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, TypeError, AttributeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
-    mallopt(-1, 128 << 20)  # M_TRIM_THRESHOLD
-
-
 def _entry(ind: Individual, scores: tuple[float, float, tuple[str, ...]]) -> FrontEntry:
     """The record of `ind` scored as (cost, complexity, its `serialized()` texts)."""
     return FrontEntry(ind, *scores)
@@ -303,7 +286,6 @@ def run(
     generation, 0 (the scored initial population) through
     `config.generations`, when given; both lists hold `FrontEntry`s.
     """
-    set_heap_thresholds()
     m = dataset.n_features
     pop_size = config.population_size
 

@@ -14,7 +14,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .complexity import CostClass, CostModel, DEFAULT_COST_MODEL, baseline_complexity
-from .dataset import Dataset, gram_candidates, nearest, row_blocks, sq_distances
+from .dataset import Dataset, gram_candidates, row_blocks, sq_distances
 from .evolution import LABEL_FOLDS, EvolutionConfig, FrontEntry, RunResult, derive_rng
 from .expr import Individual, eval_individual, to_dot
 
@@ -85,13 +85,16 @@ def _cv_accuracy(E, labels, k, folds, rng, order=None) -> tuple[float, float] | 
     """`knn_cv_accuracy`; given E's `neighbour_order`, the voters are read from it.
 
     One pass takes the rows sorted by fold, so that a row's own fold is one
-    column slice, in `dataset.row_blocks` of width n.  A row's voters are its
-    `nearest` among its `dataset.gram_candidates` outside its fold, sorted by
-    index, or its first stored entries outside the fold: the stored order is
-    `nearest`'s.  None if a capped row lists too few.
+    column slice, in `dataset.row_blocks` of width n.  A row's voters lead one
+    stable argsort of the squared distances to its `gram_candidates` outside
+    its fold, listed by index, so they rank by (distance, index) as in
+    `neighbour_order`; or they are its first stored entries outside the fold,
+    which that order lists by the same rule.  None if a capped row lists too few.
     """
     if labels is None:
         raise ValueError("labels are required for classification scoring")
+    if E.ndim != 2:
+        raise ValueError(f"embedding must be 2-D, got shape {E.shape}")
     n = E.shape[0]
     if len(labels) != n:
         raise ValueError(f"got {len(labels)} labels for {n} embedding rows")
@@ -122,8 +125,8 @@ def _cv_accuracy(E, labels, k, folds, rng, order=None) -> tuple[float, float] | 
         rows = by_fold[block]
         if order is None:
             index = np.sort(np.append(by_fold, n)[index], axis=1)  # by instance index
-            near = nearest(sq_distances(E[rows], padded, index), voters.shape[1])
-            voters[block] = index[np.arange(rows.shape[0])[:, None], near]
+            near = np.argsort(sq_distances(E[rows], padded, index), axis=1, kind="stable")
+            voters[block] = np.take_along_axis(index, near[:, :voters.shape[1]], axis=1)
         else:
             got = listed[rows]
             keep = assignment[got] != fold[block, None]

@@ -31,15 +31,6 @@ def brute_neighbour_order(points) -> list[list[int]]:
     return out
 
 
-def brute_nearest(d2, k: int) -> list[list[int]]:
-    """Per row, sort the columns by (value, column), keep the first k, ascending."""
-    out = []
-    for row in d2:
-        by_value = sorted((float(v), j) for j, v in enumerate(row))
-        out.append(sorted(j for _, j in by_value[:k]))
-    return out
-
-
 def brute_eval(node: Node, row) -> float:
     """Recursive scalar interpreter with the same saturation rules."""
     def clamp(x: float) -> float:

@@ -1,14 +1,15 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s`.  The Wine runs behind
-criteria 6 and 7 take a few minutes; everything else is fast.
+criteria 6, 7 and 10 take a few minutes; everything else is fast.
 """
+import importlib.util
 import time
 
 import numpy as np
 import pytest
 
-from conftest import WINE_CSV, make_clusters, make_separated_clusters
+from conftest import REPO_ROOT, WINE_CSV, make_clusters, make_separated_clusters
 from gpembed import cli
 from gpembed.complexity import (
     DEFAULT_COST_MODEL,
@@ -136,7 +137,8 @@ def _dominates(a, b):
 
 @pytest.fixture(scope="module")
 def wine_runs():
-    """Five 200-generation, population-64 runs on Wine, with KNN records."""
+    """Five 200-generation, population-64 runs on Wine: (seed, entry, KNN record)
+    for every archive entry."""
     ds = load_csv(WINE_CSV, label_column="class")
     pooled = []
     start = time.perf_counter()
@@ -145,7 +147,7 @@ def wine_runs():
         result = run(ds, config)
         records = evaluate_entries(result.archive, ds, seed=seed, k=5, folds=10)
         for entry, record in zip(result.archive, records):
-            pooled.append((entry, record))
+            pooled.append((seed, entry, record))
     elapsed = time.perf_counter() - start
     print(f"\n(wine runs: {len(pooled)} pooled front entries in {elapsed:.0f} s)")
     return pooled
@@ -154,10 +156,10 @@ def wine_runs():
 @pytest.mark.slow
 def test_criterion_6_wine_accuracy_trend(wine_runs):
     qualifying = [
-        record for _, record in wine_runs
+        record for _, _, record in wine_runs
         if record.complexity <= 100.0 and record.knn_acc_mean >= 0.85
     ]
-    best = max((r.knn_acc_mean for _, r in wine_runs if r.complexity <= 100.0), default=0.0)
+    best = max((r.knn_acc_mean for _, _, r in wine_runs if r.complexity <= 100.0), default=0.0)
     check("6", f"Wine, 5 seeds x 200 gens: {len(qualifying)} front individuals with "
                f"complexity <= 100 and accuracy >= 85% (best {best:.1%})",
           len(qualifying) >= 1)
@@ -165,8 +167,8 @@ def test_criterion_6_wine_accuracy_trend(wine_runs):
 
 @pytest.mark.slow
 def test_criterion_7_explainability_trend(wine_runs):
-    ordered = sorted(wine_runs, key=lambda pair: pair[1].knn_acc_mean)
-    _, median_record = ordered[len(ordered) // 2]
+    ordered = sorted(wine_runs, key=lambda run_entry: run_entry[2].knn_acc_mean)
+    _, _, median_record = ordered[len(ordered) // 2]
     stats = median_record.stats
     check("7", f"accuracy-median Wine individual: {stats.n_nodes} nodes "
                f"(<= 60), {stats.n_exp} exp-class nodes (<= 10)",
@@ -224,3 +226,19 @@ def test_criterion_9_knn_harness_sanity():
     check("9", f"separable clusters score {separable_mean:.3f} (= 1.0); shuffled "
                f"labels average {chance:.3f} over 10 seeds (in [0.4, 0.6])",
           separable_mean == 1.0 and 0.4 <= chance <= 0.6)
+
+
+@pytest.mark.slow
+def test_criterion_10_wine_search_quality(wine_runs):
+    # the bench's own hypervolume, loaded by path: bench/ is not a package
+    spec = importlib.util.spec_from_file_location("hypervolume", f"{REPO_ROOT}/bench/hypervolume.py")
+    hypervolume = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(hypervolume)
+    archives = {}
+    for seed, entry, _ in wine_runs:
+        archives.setdefault(seed, []).append((entry.cost, entry.complexity))
+    per_seed = [hypervolume.front_hypervolume(rows) for rows in archives.values()]
+    mean = float(np.mean(per_seed))
+    # 16.42-16.68 per seed, mean 16.55; a loop that never replaces an incumbent reads 14.46
+    check("10", f"Wine, 5 seeds x 200 gens: mean archive hypervolume {mean:.3f} (>= 16.3; "
+                f"per seed {', '.join(f'{v:.3f}' for v in per_seed)})", mean >= 16.3)

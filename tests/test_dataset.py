@@ -14,7 +14,6 @@ from gpembed.dataset import (
     DatasetError,
     from_arrays,
     load_csv,
-    nearest,
     neighbour_order,
     normalize,
     read_csv,
@@ -23,7 +22,7 @@ from gpembed.dataset import (
 from gpembed.expr import FLOAT_MAX, Individual, eval_individual, parse
 from gpembed.harness import knn_cv_accuracy
 from gpembed.manifold_cost import embedding_cost
-from oracles import brute_nearest, brute_neighbour_order
+from oracles import brute_neighbour_order
 
 
 def write_csv(path, text):
@@ -214,30 +213,6 @@ class TestNeighbourOrder:
     )
     def test_invariant_under_uniform_scaling(self, pts, scale):
         assert np.array_equal(neighbour_order(pts), neighbour_order(pts * scale))
-
-
-@st.composite
-def rows_and_k(draw):
-    """A value matrix of 1-5 rows and 1-40 columns, rich in ties, and k in [1, width]."""
-    shape = draw(st.tuples(st.integers(1, 5), st.integers(1, 40)))
-    values = st.one_of(st.integers(0, 3).map(float), st.just(np.inf),
-                       st.floats(0, 10, allow_nan=False))
-    return draw(arrays(np.float64, shape, elements=values)), draw(st.integers(1, shape[1]))
-
-
-class TestNearest:
-    @settings(max_examples=300, deadline=None)
-    @given(rows_and_k())
-    def test_matches_bruteforce(self, case):
-        d2, k = case
-        got = nearest(d2, k)
-        assert got.shape == (d2.shape[0], k)
-        assert got.tolist() == brute_nearest(d2, k)
-
-    def test_single_row_ties_take_lower_columns(self):
-        d2 = np.array([[1.0, 0.0, np.inf, 0.0, 1.0, 0.0, 1.0]])
-        assert nearest(d2, 4).tolist() == [[0, 1, 3, 5]]
-        assert nearest(d2, 7).tolist() == [list(range(7))]
 
 
 def left_to_right(points, others, index):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import REPO_ROOT, WINE_CSV, make_clusters, small_config
 from gpembed import evolution
-from gpembed.dataset import from_arrays
+from gpembed.dataset import from_arrays, set_heap_thresholds
 from gpembed.evolution import (
     Archive,
     EvolutionConfig,
@@ -443,9 +443,9 @@ class TestRun:
 
 @pytest.fixture
 def fresh_heap_thresholds():
-    evolution.set_heap_thresholds.cache_clear()
+    set_heap_thresholds.cache_clear()
     yield
-    evolution.set_heap_thresholds.cache_clear()
+    set_heap_thresholds.cache_clear()
 
 
 def _no_libc(name):
@@ -476,8 +476,8 @@ class TestHeapTopPad:
         monkeypatch.setattr(ctypes, "CDLL", cdll)
         config = EvolutionConfig(generations=2, population_size=8, moead_neighbourhood=4, seed=1)
         assert len(run(small_dataset, config).telemetry) == 3
-        # run called it, with the fake
-        assert evolution.set_heap_thresholds.cache_info().misses == 1
+        # run's first distance loop called it, with the fake
+        assert set_heap_thresholds.cache_info().misses == 1
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap trimming")
     def test_cost_kernel_does_not_fault_freed_pages_back_in(self):
@@ -499,12 +499,28 @@ class TestHeapTopPad:
         config = "EvolutionConfig(generations=1, population_size=8, moead_neighbourhood=4, seed=1)"
         assert _faults_per_cost_call(ds, config) < 25  # about 4,200 with no setting
 
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc mmap threshold")
+    def test_library_knn_calls_do_not_map_blocks_afresh(self):
+        # no run and no parse: the KNN pass's first row block sets the thresholds,
+        # else each 65 x 2,000 filter block is mapped afresh (14,698 faults a call)
+        script = """
+import resource
+import numpy as np
+from gpembed.harness import knn_cv_accuracy
+E, labels = np.random.default_rng(0).normal(size=(2000, 3)), np.arange(2000) % 3
+knn_cv_accuracy(E, labels)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+knn_cv_accuracy(E, labels)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+        assert _run_for_number(script) < 1000
+
 
 def _faults_per_cost_call(dataset: str, config: str) -> float:
     """Minor page faults per `manifold_cost.cost` call of the second of two runs
     in a fresh process, so no earlier test has shaped the heap; the dataset is
     loaded before the first, which grows the heap to its size."""
-    script = f"""
+    return _run_for_number(f"""
 import resource
 import numpy as np
 from gpembed import manifold_cost
@@ -519,7 +535,11 @@ calls.clear()
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 run(ds, config)
 print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / len(calls))
-"""
+""")
+
+
+def _run_for_number(script: str) -> float:
+    """What `script`, run in a fresh Python process on this checkout's `src`, prints."""
     src = os.path.join(REPO_ROOT, "src")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -136,6 +138,12 @@ class TestKnn:
         E = np.random.default_rng(0).normal(size=(40, 3))
         with pytest.raises(ValueError, match=f"got {count} labels for 40 embedding rows"):
             knn_cv_accuracy(E, np.arange(count) % 2)
+
+    @pytest.mark.parametrize("shape", [(40,), (40, 2, 2)])
+    def test_embedding_must_be_2d(self, shape):
+        message = f"embedding must be 2-D, got shape {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            knn_cv_accuracy(np.zeros(shape), np.arange(40) % 2)
 
     def test_too_few_instances(self):
         with pytest.raises(ValueError, match="10-fold"):
