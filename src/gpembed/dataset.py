@@ -18,7 +18,9 @@ alone, so the blocks never change an output.
 pass over every fold.  A row's candidates are the columns (outside its own
 group, for the harness its fold) whose Gram-form value ``s_j - 2 x_i . x_j``
 (s the squared norms; `np.einsum`, one thread) is at most ``A_i + 2 T_i``,
-A_i the row's (kth_i + 1)-th smallest value and, for m columns,
+A_i the (kth_i + 1)-th smallest of the row's minima over interleaved sets of
+max(1, n // (25 (max kth + 1))) columns (one column each, the whole row, for
+n < 50 (max kth + 1)) and, for m columns,
 ``T_i = 8 (m + 4) 2**-53 (s_i + max s) + 2**-1000``.
 """
 from __future__ import annotations
@@ -142,10 +144,12 @@ def gram_candidates(X: np.ndarray, kth, edges=()):
     each sum terms of total size <= 2 (s_i + s_j), with at most m + 2
     roundings on any term's path, so in any order each errs by about
     2 (m + 2) 2**-53 (s_i + s_j) at most, and the two differ by under T_i
-    (2**-1000 covers underflow).  The kth_i + 1 columns at or below A_i have
-    e_ij <= A_i + s_i + T_i, so the row's exact (kth_i + 1)-th smallest does
-    too, and any column at or below that has a value <= e_ij - s_i + T_i <=
-    A_i + 2 T_i.  If 8 max s overflows, every value is 0: all are candidates.
+    (2**-1000 covers underflow).  The kth_i + 1 smallest minima lie in
+    distinct columns, which have e_ij <= A_i + s_i + T_i, so the row's exact
+    (kth_i + 1)-th smallest does too, and any column at or below that has a
+    value <= e_ij - s_i + T_i <= A_i + 2 T_i.  A row with too few finite minima
+    (its group's columns are +inf) caps A_i + 2 T_i at the largest finite
+    float.  If 8 max s overflows, every value is 0: all are candidates.
     """
     n, kth = X.shape[0], np.broadcast_to(kth, X.shape[:1])
     kths = np.flatnonzero(np.bincount(kth))  # each distinct kth, ascending
@@ -153,13 +157,18 @@ def gram_candidates(X: np.ndarray, kth, edges=()):
         G = X if np.isfinite(8 * np.einsum("ij,ij->i", X, X).max()) else np.zeros_like(X)
     s, cross = np.einsum("ij,ij->i", G, G), np.ascontiguousarray(-2.0 * G.T)
     slack = 16 * (X.shape[1] + 4) * 2.0**-53 * (s + s.max()) + 2.0**-999  # 2 T_i
+    # columns per minimum: 25 minima per value read keep the bound close to exact
+    group = max(1, n // (25 * (kths[-1] + 1)))
     for block in row_blocks(n, n):
         approx = np.einsum("ij,jk->ik", G[block], cross)
         approx += s  # ||x_i - x_j||^2 - s_i, rounded
         for a, b in zip(edges[:-1], edges[1:]):  # empty slices for groups outside the block
             approx[max(a - block.start, 0):max(b - block.start, 0), a:b] = np.inf
-        A = np.partition(approx, kths, axis=1)[np.arange(approx.shape[0]), kth[block], None]
-        flat = np.flatnonzero(approx <= A + slack[block, None])
+        mins = approx[:, :n - n % group].reshape(approx.shape[0], group, -1).min(axis=1)
+        mins.partition(kths, axis=1)
+        A = mins[np.arange(mins.shape[0]), kth[block], None]
+        del mins  # n wide when each set is one column: freed before the mask
+        flat = np.flatnonzero(approx <= np.minimum(A + slack[block, None], np.finfo(float).max))
         del approx  # the caller's exact pass runs without it
         counts = np.diff(np.searchsorted(flat, np.arange(A.shape[0] + 1) * n))
         filled = np.arange(max(counts.max(), kths[-1] + 1)) < counts[:, None]

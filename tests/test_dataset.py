@@ -137,6 +137,10 @@ class TestNeighbourOrder:
         st.sampled_from(["1", "2", "n-2"]),
     )
     @example(4, 2, 3, False, 1.0, 1e8, 2, "1")  # a zero slack drops a tied candidate
+    # n >= 50 (kth + 1): each row's bound comes from minima over sets of 6 or 4 columns
+    @example(300, 2, 3, False, 1.0, 1e8, 2, "1")
+    @example(300, 3, 4, True, 1.0, 1e8, 3, "2")
+    @example(300, 3, 4, False, 1.0, 0.0, 4, "2")
     def test_candidate_filter_keeps_the_exact_order(self, n, dims, levels, jitter, scale,
                                                     offset, seed, which):
         # the all-neighbour case never filters, but it shares the capped
@@ -160,6 +164,21 @@ class TestNeighbourOrder:
         if not jitter and scale == 1.0 and offset == 0.0:
             # small-integer squared distances: the oracle's sqrt keeps their order
             assert capped.tolist() == [row[:k] for row in brute_neighbour_order(pts)]
+
+    def test_rows_short_of_finite_minima_keep_only_outside_columns(self):
+        # 301 columns in 50 interleaved sets of 6, the last column in none:
+        # rows 0..298 form one group whose only outside columns are 299 and
+        # 300, so they see one finite minimum where kth = 1 needs two; the
+        # threshold then admits every finite column, never one of the group's
+        X = np.random.default_rng(0).normal(size=(301, 2))
+        for block, index in dataset.gram_candidates(X, 1, (0, 299, 301)):
+            for row, listed in zip(range(block.start, block.stop), index):
+                own = slice(0, 299) if row < 299 else slice(299, 301)
+                d2 = ((X - X[row]) ** 2).sum(axis=1)
+                d2[own] = np.inf
+                listed = listed[listed < 301]
+                assert not np.isinf(d2[listed]).any()
+                assert set(np.argsort(d2, kind="stable")[:2]) <= set(listed)
 
     def test_underflowed_squares_keep_the_exact_order(self):
         # squares of 2**-539-sized steps lose most of their bits below the

@@ -76,6 +76,11 @@ class TestKnn:
         st.integers(0, 2**32 - 1),
     )
     @example(4, 2, "offset-grid", 2, 1, False, 1, 1, 5)  # a zero slack drops a tied voter
+    # n >= 50 (kth + 1): each row's bound comes from minima over sets of 12 or 6 columns
+    @example(300, 2, "offset-grid", 2, 1, False, 1, 3, 5)
+    @example(300, 2, "offset-grid", 10, 3, True, 2, 4, 6)
+    @example(300, 2, "duplicates", 10, 3, True, 2, 1, 7)
+    @example(300, 3, "normal", 10, 3, True, 2, 2, 8)
     def test_one_pass_matches_bruteforce(self, n, dims, kind, folds, classes, stratified, k,
                                          block_rows, seed):
         # coarse integer grids and repeated rows tie many distances at the k-th;
@@ -109,6 +114,32 @@ class TestKnn:
             assert got in (None, want)
             assert harness._cv_accuracy(X, labels, k, folds, np.random.default_rng(seed),
                                         neighbour_order(X)) == want
+
+    @pytest.mark.parametrize("kind", ["normal", "grid"])
+    def test_own_fold_columns_never_vote(self, kind):
+        # folds = 2 over 3-member classes: fold 0 holds two thirds of the rows,
+        # and with k = 5 each bound is a minimum over pairs of columns, a third
+        # of them wholly inside fold 0
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(300, 2)) if kind == "normal" else rng.integers(0, 4, size=(300, 2))
+        labels = np.arange(300) // 3
+        assignment = fold_assignment(labels, 2, np.random.default_rng(2))
+        assert np.bincount(assignment).tolist() == [200, 100]
+        got = knn_cv_accuracy(X, labels, k=5, folds=2, rng=np.random.default_rng(2))
+        assert got == _brute_knn_cv(X, labels, assignment, 5, 2)
+
+    def test_constant_embedding_votes_with_the_lowest_rows_outside_the_fold(self):
+        # every distance is 0, so every column outside a row's fold is a
+        # candidate, and its voters are the 5 lowest-index rows outside it
+        labels = np.random.default_rng(3).integers(0, 3, size=2000)
+        assignment = fold_assignment(labels, 10, np.random.default_rng(1))
+        accuracies = []
+        for f in range(10):
+            guess = np.bincount(labels[np.flatnonzero(assignment != f)[:5]], minlength=3).argmax()
+            accuracies.append(float(np.mean(labels[assignment == f] == guess)))
+        got = knn_cv_accuracy(np.zeros((2000, 2)), labels, k=5, folds=10,
+                              rng=np.random.default_rng(1))
+        assert got == (float(np.mean(accuracies)), float(np.std(accuracies)))
 
     def test_labels_need_not_be_class_codes(self):
         # two clusters 10 apart: each row's 5 nearest share its label, whatever
