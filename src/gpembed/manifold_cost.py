@@ -15,10 +15,9 @@ left-to-right sum, and tied distances share their average rank.
 matching the neighbour order (tree evaluation saturates every node, so a run
 never makes one), then sorts each row once, as integer keys that carry each
 distance's column (`_rank_correlations`), and takes an untied row's rho
-straight from that permutation in exact arithmetic; rows whose keys come
-close to a tie get averaged ranks from their bit patterns and go through
-`_row_correlations`.  Both are bitwise what `fractional_ranks` and
-`_row_correlations`, the reference path, give.  Columns come from
+straight from that permutation in exact arithmetic, bitwise what
+`_row_correlations` gives; rows whose keys come close to a tie are ranked by
+`fractional_ranks` and go through `_row_correlations` itself.  Columns come from
 `eval_individual`, which reuses each tree's column while it is scored on the
 same dataset (see `expr.Node`).
 """
@@ -33,14 +32,26 @@ from .expr import Individual, eval_individual
 
 
 def fractional_ranks(values: np.ndarray) -> np.ndarray:
-    """Row-wise ranks starting at 1, with tied values sharing the average rank:
-    the plain reference that the rank kernel is checked against."""
+    """Row-wise ranks starting at 1, with tied values sharing the average rank,
+    for NaN-free input.
+
+    One argsort orders each row; a tie group at sorted positions ``s..e``
+    shares the exact half ``(s + e + 2) / 2`` whatever order the sort left it
+    in, and the ranks are scattered back to the row's columns.  Values tie
+    as floats compare, so ``-0.0`` ties ``+0.0``.
+    """
     v = np.asarray(values, dtype=np.float64)
     rows = np.atleast_2d(v)
+    n, width = rows.shape
+    columns = np.arange(width)
+    order = np.argsort(rows, axis=1)
+    ordered = np.take_along_axis(rows, order, axis=1)
+    tie = np.zeros((n, width + 1), dtype=bool)  # tie[:, p]: positions p - 1 and p tie
+    tie[:, 1:-1] = ordered[:, 1:] == ordered[:, :-1]
+    first = np.maximum.accumulate(np.where(tie[:, :-1], 0, columns), axis=1)
+    last = np.minimum.accumulate(np.where(tie[:, 1:], width - 1, columns)[:, ::-1], axis=1)
     ranks = np.empty(rows.shape)
-    for row, out in zip(rows, ranks):
-        s = np.sort(row)  # with i entries below it and j at most it, a value holds ranks i+1..j
-        out[:] = (np.searchsorted(s, row, "left") + np.searchsorted(s, row, "right") + 1) / 2
+    np.put_along_axis(ranks, order, (first + last[:, ::-1] + 2) / 2, axis=1)
     return ranks.reshape(v.shape)
 
 
@@ -98,9 +109,9 @@ def _rank_correlations(d2: np.ndarray) -> np.ndarray:
     (the identity's) are exact in float64, so rho is bitwise what
     `_row_correlations` gives.  A row in which two do ("near-tied", which
     includes every exact tie) goes through `_row_correlations` itself, with
-    the averaged ranks of `_tied_rank_correlations`; they are found in one
-    flat pass over the sorted keys, less the pairs that join two rows.  `d2`
-    must hold no sign bit and no NaN, as a sum of squares of finite values does not.
+    the ranks of `fractional_ranks`; they are found in one flat pass over the
+    sorted keys, less the pairs that join two rows.  `d2` must hold no sign
+    bit and no NaN, as a sum of squares of finite values does not.
     """
     width = d2.shape[1]
     columns, ident, ident_ss, offset = _rank_constants(width)
@@ -122,30 +133,8 @@ def _rank_correlations(d2: np.ndarray) -> np.ndarray:
     num += offset
     rho = num / np.sqrt(ident_ss * ident_ss)
     if near_tied.any():
-        rho[near_tied] = _tied_rank_correlations(d2[near_tied])
+        rho[near_tied] = _row_correlations(fractional_ranks(d2[near_tied]), ident)
     return rho
-
-
-def _tied_rank_correlations(d2: np.ndarray) -> np.ndarray:
-    """`_row_correlations(fractional_ranks(d2), ident)` for a non-negative, non-NaN `d2`.
-
-    One unstable argsort of the bit patterns orders each row; equal patterns
-    are equal values, and a tie group at sorted positions ``s..e`` shares the
-    average rank ``(s + e + 2) / 2`` whatever order the sort left it in.  These
-    ranks are exact halves, the ones `fractional_ranks` gives.
-    """
-    rows, width = d2.shape
-    columns, ident, _, _ = _rank_constants(width)
-    bits = d2.view(np.int64)
-    order = np.argsort(bits, axis=1)
-    ordered = np.take_along_axis(bits, order, axis=1)
-    tie = np.zeros((rows, width + 1), dtype=bool)  # tie[:, p]: positions p - 1 and p tie
-    tie[:, 1:-1] = ordered[:, 1:] == ordered[:, :-1]
-    first = np.maximum.accumulate(np.where(tie[:, :-1], 0, columns), axis=1)
-    last = np.minimum.accumulate(np.where(tie[:, 1:], width - 1, columns)[:, ::-1], axis=1)
-    ranks = np.empty((rows, width))
-    np.put_along_axis(ranks, order, (first + last[:, ::-1] + 2) / 2, axis=1)
-    return _row_correlations(ranks, ident)
 
 
 def embedding_cost(embedding: np.ndarray, neighbour_order: np.ndarray) -> float:

@@ -27,7 +27,8 @@ from gpembed.evolution import (
     tchebycheff,
     vary,
 )
-from gpembed.expr import MAX_TREE_DEPTH, Individual, parse, serialize
+from gpembed.expr import MAX_TREE_DEPTH, OPERATOR_TABLE, Individual, parse, serialize
+from oracles import plain_fractional_ranks
 
 
 def entry(cost, complexity, tag="t"):
@@ -592,8 +593,8 @@ class TestObjectiveCache:
 
 class TestReferencePath:
     """A short Wine run writes the same report as one that keeps no per-tree
-    memo, ranks every row with `fractional_ranks` and scores every entry afresh:
-    each fast layer is checked per call elsewhere, this checks the whole run."""
+    memo, ranks every row with the oracles' plain ranks and scores every entry
+    afresh: each fast layer is checked per call elsewhere, this checks the whole run."""
 
     def report(self, dataset, threads, out_dir, monkeypatch, reference):
         from gpembed import complexity, expr, harness, manifold_cost
@@ -604,7 +605,7 @@ class TestReferencePath:
 
             def ranked(d2):
                 ident = np.arange(1.0, d2.shape[1] + 1.0)
-                return manifold_cost._row_correlations(manifold_cost.fractional_ranks(d2), ident)
+                return manifold_cost._row_correlations(plain_fractional_ranks(d2), ident)
 
             make_entry = evolution._entry
 
@@ -637,6 +638,33 @@ class TestReferencePath:
         assert got.keys() == reference.keys()
         for name in got:
             assert got[name] == reference[name], name
+
+    def test_run_trees_rescored_on_another_dataset_and_model(self, wine_dataset):
+        # one run has one dataset and one cost model, so only a second of each
+        # in the same process shows a per-tree memo that ignores its owner
+        from gpembed.complexity import CostClass, CostModel, individual_complexity
+        from gpembed.manifold_cost import cost
+
+        population = []
+
+        def keep(gen, archive, entries):
+            population[:] = [e.individual for e in entries]
+
+        run(wine_dataset, EvolutionConfig(generations=5, population_size=16,
+                                          moead_neighbourhood=8, seed=1), on_generation=keep)
+        other = from_arrays(np.random.default_rng(7).normal(size=(40, wine_dataset.n_features)))
+        default, as_sum = CostModel(), CostModel({op: CostClass.SUM for op in OPERATOR_TABLE})
+        scores = []
+        for ds, model in [(other, as_sum), (wine_dataset, default), (other, default),
+                          (wine_dataset, as_sum)]:
+            fresh = [Individual(trees=tuple(parse(serialize(t)) for t in ind.trees))
+                     for ind in population]
+            got = [(cost(ind, ds), individual_complexity(ind, model)) for ind in population]
+            assert got == [(cost(ind, ds), individual_complexity(ind, model)) for ind in fresh]
+            scores.append(got)
+        # the second dataset changes some cost, and the second model some complexity
+        assert [c for c, _ in scores[1]] != [c for c, _ in scores[2]]
+        assert [x for _, x in scores[1]] != [x for _, x in scores[3]]
 
 
 def _dominates(a, b):

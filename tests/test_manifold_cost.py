@@ -11,7 +11,6 @@ from gpembed.expr import FLOAT_MAX, Individual, parse
 from gpembed.manifold_cost import (
     _rank_correlations,
     _row_correlations,
-    _tied_rank_correlations,
     cost,
     embedding_cost,
     fractional_ranks,
@@ -21,6 +20,7 @@ from oracles import (
     brute_embedding_cost,
     brute_fractional_ranks,
     brute_spearman,
+    plain_fractional_ranks,
 )
 
 
@@ -81,12 +81,22 @@ class TestFractionalRanks:
         assert fractional_ranks(values).tolist() == [brute_fractional_ranks(r) for r in values]
         assert fractional_ranks(values[0]).tolist() == brute_fractional_ranks(values[0])
 
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(np.float64, st.one_of(st.tuples(st.integers(0, 4), st.integers(0, 20)),
+                                        st.tuples(st.integers(0, 20)), st.just(())),
+                  elements=st.one_of(st.integers(-3, 3).map(float),
+                                     st.sampled_from([0.0, -0.0, np.inf, -np.inf, 5e-324]))))
+    def test_bitwise_the_plain_reference(self, values):
+        got, want = fractional_ranks(values), plain_fractional_ranks(values)
+        assert got.shape == want.shape == values.shape
+        assert got.tobytes() == want.tobytes()
+
 
 def reference_cost(embedding, order):
-    """`embedding_cost` through `fractional_ranks` for every row."""
+    """`embedding_cost` through the plain reference ranks for every row."""
     width = order.shape[1]
     d2 = sq_distances(embedding, embedding, order)
-    rho = _row_correlations(fractional_ranks(d2), np.arange(1.0, width + 1.0))
+    rho = _row_correlations(plain_fractional_ranks(d2), np.arange(1.0, width + 1.0))
     return float(np.mean((1.0 - rho) / 2.0))
 
 
@@ -148,8 +158,8 @@ class TestRankKernel:
     @given(st.sampled_from([2, 3, 5, 17, 129]).flatmap(tie_rows))
     def test_tied_path_equals_reference(self, d2):
         ident = np.arange(1.0, d2.shape[1] + 1.0)
-        want = _row_correlations(fractional_ranks(d2), ident)
-        assert np.array_equal(_tied_rank_correlations(d2), want)
+        want = _row_correlations(plain_fractional_ranks(d2), ident)
+        assert np.array_equal(_row_correlations(fractional_ranks(d2), ident), want)
         assert np.array_equal(_rank_correlations(d2), want)
         assert not want[-1]  # the last row is one tie group
 
@@ -161,15 +171,15 @@ class TestRankKernel:
 
         def spy(d2):
             sent.append(d2.copy())
-            return _tied_rank_correlations(d2)
+            return fractional_ranks(d2)
 
         def routed(d2):
             sent.clear()
-            want = _row_correlations(fractional_ranks(d2), np.arange(1.0, width + 1.0))
+            want = _row_correlations(plain_fractional_ranks(d2), np.arange(1.0, width + 1.0))
             assert np.array_equal(_rank_correlations(d2), want)
             return np.vstack(sent) if sent else d2[:0]
 
-        monkeypatch.setattr(manifold_cost, "_tied_rank_correlations", spy)
+        monkeypatch.setattr(manifold_cost, "fractional_ranks", spy)
         rng = np.random.default_rng(width)
         steps = np.arange(1.0, width + 1.0)
         # each row's largest value is the next row's smallest: across the row
